@@ -24,8 +24,11 @@ FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/binio/ -fuzz 'FuzzDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/binio/ -fuzz 'FuzzDecodeRecordFrame$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ckpt/ -fuzz FuzzDecodeMeta -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -fuzz FuzzParseManifest -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -fuzz FuzzParseDeltaManifest -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core/aur/ -fuzz FuzzDecodeIndexEntry -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/window/ -fuzz FuzzWindowDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/spe/ -fuzz FuzzDecodeJobRecord -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/spe/ -fuzz FuzzDecodeMigrationRecord -fuzztime $(FUZZTIME)
 
@@ -52,7 +55,8 @@ bench-core:
 	$(GO) run ./cmd/storebench -parallel 8 -syncEvery 250 -json BENCH_core.json
 
 # Incremental-checkpoint benchmark: commit bytes and p99 commit latency
-# as state grows 100x, full vs incremental vs incremental+group-commit,
-# merged into BENCH_core.json under the "delta" key.
+# as state grows 100x, full (a chain base every round) vs incr (chained
+# deltas), both with group commit, merged into BENCH_core.json under the
+# "delta" key.
 bench-delta:
 	$(GO) run ./cmd/storebench -delta -json BENCH_core.json

@@ -98,6 +98,8 @@ func cmdLs(dir string) error {
 		}
 		kind := "unknown"
 		switch {
+		case strings.Contains(d.Name(), ".seg-"):
+			kind = "ckpt-segment"
 		case strings.HasPrefix(d.Name(), "win_"):
 			kind = "aar-window-log"
 		case strings.HasPrefix(d.Name(), "data-"):
@@ -110,8 +112,6 @@ func cmdLs(dir string) error {
 			kind = "sstable"
 		case strings.HasPrefix(d.Name(), "hlog-"):
 			kind = "hybrid-log"
-		case d.Name() == "stat.snap":
-			kind = "aur-stat-snapshot"
 		}
 		rel, _ := filepath.Rel(dir, path)
 		fmt.Printf("%-16s %10d  %s\n", kind, info.Size(), rel)

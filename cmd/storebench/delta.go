@@ -17,13 +17,14 @@ import (
 // The -delta benchmark prices durability as state grows: a store ingests
 // a constant-size batch per round for many rounds (so live state at the
 // last barrier is ~rounds× the state at the first) and commits a
-// checkpoint at every barrier under three modes — "full" rewrites the
-// whole store each time, "incr" hard-links the parent's sealed segments
-// and rewrites only the delta but still fsyncs each file as it is
-// written, and "incr+group" additionally batches all fsyncs into one
-// group-commit window per barrier. The claim under test: full commit
-// cost grows with total state while incremental commit cost tracks the
-// per-barrier delta and stays flat as state grows 100x.
+// checkpoint at every barrier under two modes — "full" writes a chain
+// base (CheckpointDelta with no parent) each time, rewriting the whole
+// store, and "incr" chains each checkpoint on the previous one,
+// hard-linking the parent's sealed segments and rewriting only the
+// delta. Both go through the one checkpoint path with its group-commit
+// sync window. The claim under test: full commit cost grows with total
+// state while incremental commit cost tracks the per-barrier delta and
+// stays flat as state grows 100x.
 
 type deltaPoint struct {
 	Round       int     `json:"round"`
@@ -60,7 +61,7 @@ func runDeltaBench(base string, ops int, jsonPath string) {
 	tb := metrics.NewTable("pattern", "mode", "rounds", "commit@1", "commit@100", "growth", "p99 commit")
 	rep := deltaReport{Rounds: rounds, OpsPerRound: perRound, Instances: instances}
 	for _, p := range []core.Pattern{core.PatternAAR, core.PatternAUR, core.PatternRMW} {
-		for _, mode := range []string{"full", "incr", "incr+group"} {
+		for _, mode := range []string{"full", "incr"} {
 			r := runDeltaWorkload(base, p, mode, rounds, perRound, instances)
 			rep.Results = append(rep.Results, r)
 			tb.AddRow(r.Pattern, r.Mode, r.Rounds,
@@ -111,8 +112,7 @@ func runDeltaWorkload(base string, p core.Pattern, mode string, rounds, perRound
 		Predictor:        window.SessionPredictor{Gap: 1000},
 		// Chain length is the rebase cadence; the bench measures the
 		// steady incremental price, so keep the whole run on one chain.
-		MaxDeltaChain:      rounds + 1,
-		DisableGroupCommit: mode == "incr",
+		MaxDeltaChain: rounds + 1,
 	}
 	st, err := core.OpenPattern(p, wkind, opts)
 	if err != nil {
@@ -151,25 +151,20 @@ func runDeltaWorkload(base string, p core.Pattern, mode string, rounds, perRound
 			}
 		}
 		ck := filepath.Join(ckRoot, fmt.Sprintf("gen-%06d", r))
-		t0 := time.Now()
+		from := parent
 		if mode == "full" {
-			err = st.CheckpointWithMeta(ck, nil)
-		} else {
-			err = st.CheckpointDelta(ck, parent, nil)
+			from = "" // a chain base every round
 		}
+		t0 := time.Now()
+		err = st.CheckpointDelta(ck, from, nil)
 		lat := time.Since(t0)
 		if err != nil {
 			fatal(err)
 		}
 		lats = append(lats, lat)
-		var commitBytes int64
-		if mode == "full" {
-			commitBytes = dirSize(ck)
-		} else {
-			copied := st.Stats().CkptCopiedBytes
-			commitBytes = copied - prevCopied
-			prevCopied = copied
-		}
+		copied := st.Stats().CkptCopiedBytes
+		commitBytes := copied - prevCopied
+		prevCopied = copied
 		if r == 1 {
 			res.FirstCommitBytes = commitBytes
 		}
@@ -198,16 +193,4 @@ func runDeltaWorkload(base string, p core.Pattern, mode string, rounds, perRound
 		res.GrowthRatio = float64(res.LastCommitBytes) / float64(res.FirstCommitBytes)
 	}
 	return res
-}
-
-// dirSize sums the regular files under root.
-func dirSize(root string) int64 {
-	var n int64
-	filepath.Walk(root, func(_ string, info os.FileInfo, err error) error {
-		if err == nil && info.Mode().IsRegular() {
-			n += info.Size()
-		}
-		return nil
-	})
-	return n
 }

@@ -14,7 +14,8 @@
 //	storebench -delta -json BENCH_core.json
 //	                           # incremental-checkpoint benchmark: commit
 //	                           # bytes and p99 latency as state grows
-//	                           # 100x, full vs incr vs incr+group-commit
+//	                           # 100x, full (chain base every round) vs
+//	                           # incr (chained deltas)
 package main
 
 import (
@@ -41,7 +42,7 @@ func main() {
 		parallel  = flag.Int("parallel", 0, "run the concurrent composite-store benchmark with this many workers (plus a 1-worker baseline), skipping the baseline store comparison")
 		syncEvery = flag.Int("syncEvery", 2000, "ops between Sync calls in the -parallel benchmark (0 disables)")
 		jsonOut   = flag.String("json", "", "write -parallel results as JSON to this file (-delta merges under a \"delta\" key)")
-		delta     = flag.Bool("delta", false, "run the incremental-checkpoint benchmark: commit bytes and latency as state grows 100x, full vs incremental vs incremental+group-commit")
+		delta     = flag.Bool("delta", false, "run the incremental-checkpoint benchmark: commit bytes and latency as state grows 100x, full (chain base every round) vs incremental (chained deltas)")
 	)
 	flag.Parse()
 

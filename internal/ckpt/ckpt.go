@@ -17,7 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
+	"math"
 	"math/rand"
 	"path/filepath"
 
@@ -25,9 +25,9 @@ import (
 	"flowkv/internal/faultfs"
 )
 
-// MetaName is the per-instance segment-manifest file inside a segmented
-// checkpoint directory. Its presence is what distinguishes a segmented
-// (v2) instance snapshot from a legacy flat one.
+// MetaName is the per-instance segment-manifest file inside a checkpoint
+// directory. Every instance snapshot has one; a directory without it is
+// not a checkpoint.
 const MetaName = "SEGMENTS"
 
 // metaMagic versions the SEGMENTS encoding.
@@ -124,7 +124,12 @@ func (m *Meta) Encode() []byte {
 }
 
 // DecodeMeta parses a SEGMENTS file. It never panics, whatever the
-// input; malformed bytes yield ErrBadMeta.
+// input; malformed bytes yield ErrBadMeta. Names are validated, not
+// trusted: a logical name must be a plain file name, and each segment
+// must be non-empty and named SegmentName(logical, offset) for its
+// running offset — exactly what every writer produces — so a crafted
+// SEGMENTS file cannot make Materialize or LinkSegments reach outside
+// the checkpoint directory.
 func DecodeMeta(b []byte) (*Meta, error) {
 	bad := func(why string) (*Meta, error) {
 		return nil, fmt.Errorf("%w: %s", ErrBadMeta, why)
@@ -155,6 +160,9 @@ func DecodeMeta(b []byte) (*Meta, error) {
 			return bad("truncated file record")
 		}
 		rec = rec[fn:]
+		if logical == "" || logical != filepath.Base(logical) || logical == "." || logical == ".." {
+			return bad(fmt.Sprintf("logical name %q is not a plain file name", logical))
+		}
 		epoch, fn, err := binio.Uvarint(rec)
 		if err != nil {
 			return bad("truncated file record")
@@ -169,6 +177,7 @@ func DecodeMeta(b []byte) (*Meta, error) {
 			return bad("segment count exceeds record")
 		}
 		fs := FileState{Logical: logical, Epoch: epoch}
+		var off int64
 		for i := uint64(0); i < count; i++ {
 			name, sn, err := binio.String(rec)
 			if err != nil {
@@ -188,6 +197,13 @@ func DecodeMeta(b []byte) (*Meta, error) {
 				return bad("truncated segment")
 			}
 			rec = rec[4:]
+			if slen == 0 || slen > math.MaxInt64-uint64(off) {
+				return bad(fmt.Sprintf("segment %q has length %d", name, slen))
+			}
+			if name != SegmentName(logical, off) {
+				return bad(fmt.Sprintf("segment %q, want %q", name, SegmentName(logical, off)))
+			}
+			off += int64(slen)
 			fs.Segments = append(fs.Segments, Segment{Name: name, Len: int64(slen), CRC: crc})
 		}
 		m.Files = append(m.Files, fs)
@@ -257,13 +273,10 @@ func FinishMeta(fsys faultfs.FS, dir string, m *Meta, res *Result) error {
 	return nil
 }
 
-// ReadMeta loads and decodes dir's SEGMENTS file. A missing file returns
-// (nil, nil): the directory holds a legacy flat snapshot.
+// ReadMeta loads and decodes dir's SEGMENTS file. A missing file is an
+// error like any other: every instance checkpoint has one.
 func ReadMeta(fsys faultfs.FS, dir string) (*Meta, error) {
 	b, err := fsys.ReadFile(filepath.Join(dir, MetaName))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
 	if err != nil {
 		return nil, err
 	}

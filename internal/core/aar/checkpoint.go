@@ -7,45 +7,15 @@ import (
 	"strings"
 
 	"flowkv/internal/ckpt"
-	"flowkv/internal/faultfs"
 	"flowkv/internal/window"
 )
 
-// Checkpoint writes a consistent snapshot of the instance's state into
-// dir (created if needed). The paper's §8 describes the discipline:
-// in-memory data is flushed to disk first, so the on-disk files form the
-// snapshot and can be copied while processing resumes. Checkpoint flushes
-// and then copies each per-window log; every copy is fsynced before it
-// counts, so a later atomic commit (internal/core's tmp+rename) can rely
-// on the bytes being durable.
-//
-// Checkpoint holds only ioMu, so concurrent Appends proceed while the
-// snapshot is written; the cut is the instant the buffer is detached
-// inside the flush. Tuples appended after that instant are not in the
-// snapshot.
-func (s *Store) Checkpoint(dir string) error {
-	s.ioMu.Lock()
-	defer s.ioMu.Unlock()
-	fsys := s.dir.FS()
-	if err := s.flushAllLocked(); err != nil {
-		return err
-	}
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("aar: checkpoint: %w", err)
-	}
-	for w, l := range s.files {
-		if err := l.Flush(); err != nil {
-			return err
-		}
-		if err := faultfs.CopyFile(fsys, l.Path(), filepath.Join(dir, windowFileName(w))); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // CheckpointDelta writes a segmented snapshot of the instance into dir.
-// Each per-window log is recorded as an ordered list of sealed segment
+// Per the paper's §8, in-memory data is flushed to disk first, so the
+// on-disk files form the snapshot and can be copied while processing
+// resumes; the cut is the instant the buffer is detached inside that
+// flush, and only ioMu is held, so concurrent Appends proceed. Each
+// per-window log is recorded as an ordered list of sealed segment
 // files plus a SEGMENTS manifest. When parent (the decoded SEGMENTS of
 // the previous checkpoint generation, rooted at parentDir) still
 // describes a prefix of a live log — same file epoch, recorded length
@@ -124,12 +94,9 @@ func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string)
 }
 
 // Restore rebuilds an instance's state from a checkpoint directory
-// written by Checkpoint or CheckpointDelta. The store must be freshly
-// opened (empty). Segmented checkpoints (a SEGMENTS manifest present)
-// are materialized by concatenating each file's segments and carry their
-// file epochs over, so the delta chain can continue across a restart;
-// legacy flat checkpoints get fresh epochs, which simply forces the next
-// delta checkpoint to take the full-copy path.
+// written by CheckpointDelta. The store must be freshly opened (empty).
+// Each file is materialized by concatenating its segments and keeps its
+// file epoch, so the delta chain can continue across a restart.
 func (s *Store) Restore(dir string) error {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
@@ -151,44 +118,21 @@ func (s *Store) Restore(dir string) error {
 	if err != nil {
 		return fmt.Errorf("aar: restore: %w", err)
 	}
-	if meta != nil {
-		for i := range meta.Files {
-			fstate := &meta.Files[i]
-			w, ok := parseWindowFileName(fstate.Logical)
-			if !ok {
-				return fmt.Errorf("aar: restore: unexpected logical file %q", fstate.Logical)
-			}
-			if err := ckpt.Materialize(fsys, dir, fstate, filepath.Join(s.dir.Root(), fstate.Logical)); err != nil {
-				return fmt.Errorf("aar: restore: %w", err)
-			}
-			l, err := s.dir.Open(fstate.Logical)
-			if err != nil {
-				return err
-			}
-			s.files[w] = l
-			s.epochs[w] = fstate.Epoch
-		}
-		return nil
-	}
-	ents, err := fsys.ReadDir(dir)
-	if err != nil {
-		return fmt.Errorf("aar: restore: %w", err)
-	}
-	for _, e := range ents {
-		name := e.Name()
-		w, ok := parseWindowFileName(name)
+	for i := range meta.Files {
+		fstate := &meta.Files[i]
+		w, ok := parseWindowFileName(fstate.Logical)
 		if !ok {
-			continue
+			return fmt.Errorf("aar: restore: unexpected logical file %q", fstate.Logical)
 		}
-		if err := faultfs.CopyFile(fsys, filepath.Join(dir, name), filepath.Join(s.dir.Root(), name)); err != nil {
-			return err
+		if err := ckpt.Materialize(fsys, dir, fstate, filepath.Join(s.dir.Root(), fstate.Logical)); err != nil {
+			return fmt.Errorf("aar: restore: %w", err)
 		}
-		l, err := s.dir.Open(name)
+		l, err := s.dir.Open(fstate.Logical)
 		if err != nil {
 			return err
 		}
 		s.files[w] = l
-		s.epochs[w] = ckpt.Rand64()
+		s.epochs[w] = fstate.Epoch
 	}
 	return nil
 }

@@ -8,6 +8,13 @@ import (
 	"flowkv/internal/window"
 )
 
+// fullCheckpoint writes a chain-base checkpoint of s into dir: the
+// instance's only checkpoint writer, with no parent.
+func fullCheckpoint(s *Store, dir string) error {
+	_, err := s.CheckpointDelta(dir, nil, "")
+	return err
+}
+
 func TestStoreLevelCheckpointRestore(t *testing.T) {
 	src := openTest(t, Options{WriteBufferBytes: 256})
 	w1 := window.Window{Start: -100, End: 0} // negative boundaries too
@@ -17,7 +24,7 @@ func TestStoreLevelCheckpointRestore(t *testing.T) {
 		src.Append([]byte(fmt.Sprintf("k%d", i%4)), []byte(fmt.Sprintf("u%02d", i)), w2)
 	}
 	ckpt := filepath.Join(t.TempDir(), "ckpt")
-	if err := src.Checkpoint(ckpt); err != nil {
+	if err := fullCheckpoint(src, ckpt); err != nil {
 		t.Fatal(err)
 	}
 
@@ -66,7 +73,7 @@ func TestRestoreIntoDirtyStoreFails(t *testing.T) {
 	src := openTest(t, Options{})
 	src.Append([]byte("k"), []byte("v"), window.Window{Start: 0, End: 100})
 	ckpt := filepath.Join(t.TempDir(), "ckpt")
-	if err := src.Checkpoint(ckpt); err != nil {
+	if err := fullCheckpoint(src, ckpt); err != nil {
 		t.Fatal(err)
 	}
 	dirty := openTest(t, Options{})
@@ -79,7 +86,7 @@ func TestRestoreIntoDirtyStoreFails(t *testing.T) {
 func TestCheckpointClosed(t *testing.T) {
 	s := openTest(t, Options{})
 	s.Close()
-	if err := s.Checkpoint(t.TempDir()); err != ErrClosed {
+	if err := fullCheckpoint(s, t.TempDir()); err != ErrClosed {
 		t.Errorf("Checkpoint: %v", err)
 	}
 	if err := s.Restore(t.TempDir()); err != ErrClosed {

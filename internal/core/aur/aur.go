@@ -192,6 +192,8 @@ type Store struct {
 	// rewriting the whole table. statSeq orders the marks; lastCutID is
 	// the SEGMENTS CutID of the last committed delta cut, which a
 	// parent checkpoint must match for its stat stream to be extended.
+	// statDeltas stays nil (not armed, nothing recorded) until the first
+	// checkpoint cut or a restore.
 	statDeltas map[id]statMark
 	statSeq    uint64
 	lastCutID  uint64
@@ -237,15 +239,14 @@ func Open(opts Options) (*Store, error) {
 	}
 	dir.SetPolicy(opts.Policy)
 	s := &Store{
-		opts:       opts,
-		dir:        dir,
-		bd:         opts.Breakdown,
-		buf:        make(map[id]*bufEntry),
-		stat:       make(map[id]*statEntry),
-		onDisk:     make(map[id]int64),
-		consumed:   make(map[string]struct{}),
-		prefetch:   make(map[id][][]byte),
-		statDeltas: make(map[id]statMark),
+		opts:     opts,
+		dir:      dir,
+		bd:       opts.Breakdown,
+		buf:      make(map[id]*bufEntry),
+		stat:     make(map[id]*statEntry),
+		onDisk:   make(map[id]int64),
+		consumed: make(map[string]struct{}),
+		prefetch: make(map[id][][]byte),
 	}
 	if err := s.openGen(0); err != nil {
 		return nil, err
@@ -254,8 +255,11 @@ func Open(opts Options) (*Store, error) {
 }
 
 // markStatLocked records a Stat-table mutation for the next delta
-// checkpoint; caller holds mu.
+// checkpoint once marks are armed; caller holds mu.
 func (s *Store) markStatLocked(ident id, tomb bool) {
+	if s.statDeltas == nil {
+		return
+	}
 	s.statSeq++
 	s.statDeltas[ident] = statMark{seq: s.statSeq, tomb: tomb}
 }

@@ -5,8 +5,17 @@ import (
 	"path/filepath"
 	"testing"
 
+	"flowkv/internal/ckpt"
+	"flowkv/internal/faultfs"
 	"flowkv/internal/window"
 )
+
+// fullCheckpoint writes a chain-base checkpoint of s into dir: the
+// instance's only checkpoint writer, with no parent.
+func fullCheckpoint(s *Store, dir string) error {
+	_, err := s.CheckpointDelta(dir, nil, "")
+	return err
+}
 
 func TestReadNonDestructive(t *testing.T) {
 	s := openTest(t, Options{WriteBufferBytes: 1, ReadBatchRatio: 0.5})
@@ -84,7 +93,7 @@ func TestStoreLevelCheckpointRestore(t *testing.T) {
 		t.Fatal("pre-ckpt get")
 	}
 	ckpt := filepath.Join(t.TempDir(), "ckpt")
-	if err := src.Checkpoint(ckpt); err != nil {
+	if err := fullCheckpoint(src, ckpt); err != nil {
 		t.Fatal(err)
 	}
 
@@ -121,7 +130,7 @@ func TestRestoreIntoDirtyStoreFails(t *testing.T) {
 	src := openTest(t, Options{})
 	src.Append([]byte("k"), []byte("v"), window.Window{Start: 0, End: gap}, 0)
 	ckpt := filepath.Join(t.TempDir(), "ckpt")
-	if err := src.Checkpoint(ckpt); err != nil {
+	if err := fullCheckpoint(src, ckpt); err != nil {
 		t.Fatal(err)
 	}
 	dirty := openTest(t, Options{})
@@ -134,7 +143,7 @@ func TestRestoreIntoDirtyStoreFails(t *testing.T) {
 func TestCheckpointOnClosedStore(t *testing.T) {
 	s := openTest(t, Options{})
 	s.Close()
-	if err := s.Checkpoint(t.TempDir()); err != ErrClosed {
+	if err := fullCheckpoint(s, t.TempDir()); err != ErrClosed {
 		t.Errorf("Checkpoint on closed: %v", err)
 	}
 	if err := s.Restore(t.TempDir()); err != ErrClosed {
@@ -158,5 +167,77 @@ func TestStatsAccessors(t *testing.T) {
 	}
 	if s.PrefetchedBytes() != 0 {
 		t.Errorf("PrefetchedBytes = %d after consuming", s.PrefetchedBytes())
+	}
+}
+
+// statMarks counts the recorded Stat-table delta marks.
+func statMarks(s *Store) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.statDeltas)
+}
+
+// TestNeverCheckpointedStoreRecordsNoMarks: Stat delta marks exist for
+// the next checkpoint, so a store that never checkpoints must not grow
+// them — memory stays bounded by live state, not by how many
+// identities ever passed through.
+func TestNeverCheckpointedStoreRecordsNoMarks(t *testing.T) {
+	s := openTest(t, Options{WriteBufferBytes: 64 << 20})
+	w := window.Window{Start: 0, End: 100}
+	for i := 0; i < 100000; i++ {
+		k := []byte(fmt.Sprintf("k%06d", i))
+		if err := s.Append(k, []byte("v"), w, 10); err != nil {
+			t.Fatal(err)
+		}
+		if vals, err := s.Get(k, w); len(vals) != 1 || err != nil {
+			t.Fatalf("take %s: %q, %v", k, vals, err)
+		}
+	}
+	if n := statMarks(s); n != 0 {
+		t.Fatalf("never-checkpointed store holds %d stat marks, want 0", n)
+	}
+}
+
+// TestMutationBetweenCutAndCommitReachesNextDelta: the first cut arms
+// the marks, so a Stat row created after the base cut but before the
+// base commits is not in the base and must be shipped by the next
+// delta's stat stream.
+func TestMutationBetweenCutAndCommitReachesNextDelta(t *testing.T) {
+	s := openTest(t, Options{})
+	w := window.Window{Start: 0, End: 100}
+	if err := s.Append([]byte("early"), []byte("e"), w, 10); err != nil {
+		t.Fatal(err)
+	}
+	base := filepath.Join(t.TempDir(), "base")
+	res, err := s.CheckpointDelta(base, nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append([]byte("late"), []byte("l"), w, 20); err != nil {
+		t.Fatal(err)
+	}
+	res.Commit()
+	parent, err := ckpt.ReadMeta(faultfs.OS, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := filepath.Join(t.TempDir(), "next")
+	if _, err := s.CheckpointDelta(next, parent, base); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := ckpt.ReadMeta(faultfs.OS, next); err != nil || len(m.File(statDeltaLogical).Segments) != 2 {
+		t.Fatalf("next checkpoint does not extend the base stat stream with a delta segment: %+v, %v", m, err)
+	}
+	dst := openTest(t, Options{})
+	if err := dst.Restore(next); err != nil {
+		t.Fatal(err)
+	}
+	for k, ts := range map[string]int64{"early": 10, "late": 20} {
+		dst.mu.Lock()
+		st := dst.stat[id{key: k, w: w}]
+		dst.mu.Unlock()
+		if st == nil || st.maxTS != ts {
+			t.Fatalf("%s Stat row after delta restore = %+v, want maxTS %d", k, st, ts)
+		}
 	}
 }

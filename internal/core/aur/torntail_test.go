@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"flowkv/internal/binio"
+	"flowkv/internal/ckpt"
 	"flowkv/internal/faultfs"
 	"flowkv/internal/window"
 )
@@ -72,11 +74,11 @@ func TestIndexLogTornTailRecovery(t *testing.T) {
 	// Reboot: assemble a checkpoint from the surviving on-disk files.
 	// (A real core checkpoint would have been rejected mid-write; this
 	// models restoring the instance directory itself after a crash.)
-	ckpt := filepath.Join(t.TempDir(), "ckpt")
-	if err := os.MkdirAll(ckpt, 0o755); err != nil {
+	ckDir := filepath.Join(t.TempDir(), "ckpt")
+	if err := os.MkdirAll(ckDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	copyAs := func(prefix, dst string) {
+	copyAs := func(prefix, logical string) ckpt.FileState {
 		t.Helper()
 		ents, err := os.ReadDir(dir)
 		if err != nil {
@@ -88,17 +90,30 @@ func TestIndexLogTornTailRecovery(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := os.WriteFile(filepath.Join(ckpt, dst), b, 0o644); err != nil {
+				fstate := ckpt.FileState{Logical: logical, Epoch: 1}
+				if len(b) == 0 {
+					return fstate
+				}
+				name := ckpt.SegmentName(logical, 0)
+				if err := os.WriteFile(filepath.Join(ckDir, name), b, 0o644); err != nil {
 					t.Fatal(err)
 				}
-				return
+				fstate.Segments = []ckpt.Segment{{Name: name, Len: int64(len(b)), CRC: binio.Checksum(b)}}
+				return fstate
 			}
 		}
 		t.Fatalf("no %s* file in %s", prefix, dir)
+		return ckpt.FileState{}
 	}
-	copyAs("data-", "data.log")
-	copyAs("index-", "index.log")
-	if err := os.WriteFile(filepath.Join(ckpt, statSnapshotName), nil, 0o644); err != nil {
+	meta := &ckpt.Meta{Files: []ckpt.FileState{
+		copyAs("data-", "data.log"),
+		copyAs("index-", "index.log"),
+		{Logical: statDeltaLogical, Epoch: 1},
+	}}
+	if _, err := ckpt.WriteMeta(faultfs.OS, ckDir, meta); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(ckDir, consumedSnapshotName), encodeConsumedSnapshot(nil, 0), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -112,7 +127,7 @@ func TestIndexLogTornTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fresh.Destroy()
-	if err := fresh.Restore(ckpt); err != nil {
+	if err := fresh.Restore(ckDir); err != nil {
 		t.Fatalf("restore of torn-index checkpoint: %v", err)
 	}
 	for i := 0; i < 10; i++ {

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"flowkv/internal/binio"
 	"flowkv/internal/window"
 )
 
@@ -202,5 +206,63 @@ func TestRestoreRejectsNonEmpty(t *testing.T) {
 	// src itself is non-empty: restoring into it must fail.
 	if err := src.Restore(ckpt); err == nil {
 		t.Error("restore into non-empty store should fail")
+	}
+}
+
+// TestRestoreRejectsFlatLayout: there is one checkpoint format. A
+// hand-built checkpoint in the retired flat layout — whole per-instance
+// log copies, no SEGMENTS — is refused as invalid whether its MANIFEST
+// carries the retired v1 header or the current one, and the refused
+// store stays empty (a valid checkpoint still restores into it).
+func TestRestoreRejectsFlatLayout(t *testing.T) {
+	w := window.Window{Start: 0, End: 100}
+	rec := binio.AppendRecord(nil, []byte("flat rmw entry"))
+	entries := []manifestEntry{{path: "inst-00/rmw.log", size: int64(len(rec)), crc: binio.Checksum(rec)}}
+	v1Header := binio.PutString(nil, strings.Replace(manifestMagic, "-v2", "-v1", 1))
+	v1Header = binio.PutUvarint(v1Header, uint64(PatternRMW))
+	v1Header = binio.PutUvarint(v1Header, 1)
+	v1 := binio.AppendRecord(nil, v1Header)
+	for _, e := range entries {
+		p := binio.PutString(nil, e.path)
+		p = binio.PutUvarint(p, uint64(e.size))
+		p = binio.PutUint32(p, e.crc)
+		v1 = binio.AppendRecord(v1, p)
+	}
+	current := encodeManifest(&manifest{pattern: PatternRMW, instances: 1, entries: entries})
+	for name, mf := range map[string][]byte{"v1-manifest": v1, "current-manifest": current} {
+		t.Run(name, func(t *testing.T) {
+			ck := filepath.Join(t.TempDir(), "flat")
+			if err := os.MkdirAll(filepath.Join(ck, "inst-00"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(ck, "inst-00", "rmw.log"), rec, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(ck, manifestName), mf, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			opts := Options{Instances: 1}
+			dst := openStore(t, AggIncremental, window.Fixed, opts)
+			if err := dst.Restore(ck); !errors.Is(err, ErrCheckpointInvalid) {
+				t.Fatalf("flat-layout restore: err = %v, want ErrCheckpointInvalid", err)
+			}
+			if st := dst.Stats(); st.LiveStates != 0 {
+				t.Fatalf("refused restore left %d live states", st.LiveStates)
+			}
+			src := openStore(t, AggIncremental, window.Fixed, opts)
+			if err := src.PutAggregate([]byte("k"), w, []byte("agg")); err != nil {
+				t.Fatal(err)
+			}
+			good := filepath.Join(t.TempDir(), "good")
+			if err := src.Checkpoint(good); err != nil {
+				t.Fatal(err)
+			}
+			if err := dst.Restore(good); err != nil {
+				t.Fatalf("valid restore after refused flat one: %v", err)
+			}
+			if agg, ok, err := dst.GetAggregate([]byte("k"), w); err != nil || !ok || string(agg) != "agg" {
+				t.Fatalf("restored aggregate = %q,%v,%v", agg, ok, err)
+			}
+		})
 	}
 }

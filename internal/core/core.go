@@ -152,11 +152,6 @@ type Options struct {
 	// can grow before it is re-based. Default 16; negative disables
 	// incremental checkpoints entirely (every CheckpointDelta is full).
 	MaxDeltaChain int
-	// DisableGroupCommit makes CheckpointDelta fsync each written file
-	// immediately (the historical per-log discipline) instead of
-	// batching every instance's fsyncs into one sync window per
-	// checkpoint. Ablation only.
-	DisableGroupCommit bool
 	// ReadRetries bounds the retry attempts for transient read I/O
 	// errors before the error surfaces to the caller. Default 3.
 	ReadRetries int

@@ -20,29 +20,38 @@ import (
 // incrementally against the checkpoint at parent: sealed bytes already
 // persisted by the parent are hard-linked into the new directory (copy
 // fallback when the filesystem refuses links) and only the bytes written
-// since the parent's cut are re-persisted. parent is resolved
-// fail-safe — a missing, corrupt, or foreign parent, a chain already at
-// Options.MaxDeltaChain, or a per-file validity mismatch inside an
-// instance all silently fall back to writing full data, never to a
-// corrupt checkpoint. An empty parent writes a full (chain base)
-// checkpoint in the segmented format.
+// since the parent's cut are re-persisted. It is the only checkpoint
+// writer: an empty parent writes a full (chain base) checkpoint, and
+// parent is resolved fail-safe — a missing, corrupt, or foreign parent,
+// a chain already at Options.MaxDeltaChain, or a per-file validity
+// mismatch inside an instance all silently fall back to writing full
+// data, never to a corrupt checkpoint. Per the paper's §8 discussion,
+// SPEs snapshot their KV stores periodically (Flink's checkpointing);
+// windows consumed (fetched & removed) before the checkpoint stay
+// consumed after a restore.
 //
-// The crash-consistency protocol is CheckpointWithMeta's, unchanged:
-// stage into "<dir>.tmp", move any previous checkpoint aside to
-// "<dir>.old", atomically rename the staging directory onto dir, fsync
-// the parent directory, then clear the old copy. The delta path adds
-// group commit: instances write their files unsynced and report what
-// needs durability; the store fsyncs them in one batched window (fanned
-// across Options.Parallelism workers) before the manifest is written,
-// so a barrier pays one sync wave instead of one fsync per file per
-// instance. Options.DisableGroupCommit reverts to immediate per-file
-// fsyncs for ablation. Hard-linked segments are already durable and are
-// never re-synced.
+// The snapshot is crash-consistent. Everything is first staged into
+// "<dir>.tmp": instances snapshot in parallel (bounded by
+// Options.Parallelism), each holding only its own I/O lock so ingestion
+// proceeds, and write their files unsynced. The store then fsyncs every
+// written file in one group-commit window fanned across the same worker
+// budget — a barrier pays one sync wave instead of one fsync per file
+// per instance; hard-linked segments are already durable and never
+// re-synced — and writes the MANIFEST recording every file's size and
+// CRC32C. Only then is any previous checkpoint renamed aside to
+// "<dir>.old" (atomic, so it stays whole for fallback), the staging
+// directory renamed onto dir, and the parent directory fsynced. So at
+// every instant a complete snapshot exists at dir, "<dir>.old", or
+// "<dir>.tmp", and a crash leaves at worst stale ".tmp"/".old"
+// directories that the next checkpoint clears.
 //
-// meta is the opaque application metadata, exactly as in
-// CheckpointWithMeta. The resulting directory is physically
-// self-contained: restoring it never reads the parent, which may be
-// deleted freely (links keep shared inodes alive).
+// meta is opaque application metadata, written to an APPMETA file that
+// the MANIFEST covers like any store file; the SPE layer records source
+// offsets and operator state there, which is what makes a checkpoint a
+// resumable point rather than just a backup. A nil meta writes no
+// APPMETA. The resulting directory is physically self-contained:
+// restoring it never reads the parent, which may be deleted freely
+// (links keep shared inodes alive).
 func (s *Store) CheckpointDelta(dir, parent string, meta []byte) error {
 	if err := s.guardWrite(); err != nil {
 		return err
@@ -71,9 +80,10 @@ func (s *Store) CheckpointDelta(dir, parent string, meta []byte) error {
 	results, err := s.checkpointDeltaInto(tmp, parent, parentName, depth, parentMetas, meta)
 	if err != nil {
 		fsys.RemoveAll(tmp)
-		// Same poisoning rule as the full path: a failed flush of the
-		// live logs degrades the store; a failure confined to the
-		// staging directory leaves it Healthy.
+		// The per-instance snapshot flushes the live logs; if that is
+		// what failed the logs are now poisoned and the store degrades
+		// until Recover re-establishes the durable-offset invariant. A
+		// failure confined to the staging directory leaves it Healthy.
 		if perr := s.poisoned(); perr != nil {
 			s.degrade(perr)
 		}
@@ -181,8 +191,8 @@ func (s *Store) resolveParent(dir, parent string) (string, int, []*ckpt.Meta) {
 	}
 	metas := make([]*ckpt.Meta, s.opts.Instances)
 	for i := range metas {
-		// A read error or a legacy flat instance dir yields a nil meta:
-		// that instance writes full data but the checkpoint still chains.
+		// An unreadable SEGMENTS yields a nil meta: that instance writes
+		// full data but the checkpoint still chains.
 		if im, err := ckpt.ReadMeta(fsys, instDir(parent, i)); err == nil {
 			metas[i] = im
 		}
@@ -227,26 +237,19 @@ func (s *Store) checkpointDeltaInto(tmp, parent, parentName string, depth int, p
 			return err
 		}
 		results[i] = res
-		if s.opts.DisableGroupCommit {
-			if err := syncFiles(fsys, res.NeedSync); err != nil {
-				return err
-			}
-		}
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	if !s.opts.DisableGroupCommit {
-		// Group commit: one batched sync window for every file all
-		// instances wrote this barrier, fanned across the same worker
-		// budget as the instance snapshots.
-		var all []string
-		for _, res := range results {
-			all = append(all, res.NeedSync...)
-		}
-		if err := s.syncWindow(all); err != nil {
-			return nil, err
-		}
+	// Group commit: one batched sync window for every file all instances
+	// wrote this barrier, fanned across the same worker budget as the
+	// instance snapshots.
+	var all []string
+	for _, res := range results {
+		all = append(all, res.NeedSync...)
+	}
+	if err := s.syncWindow(all); err != nil {
+		return nil, err
 	}
 	// Directory entries last: the files are durable, now make their
 	// names durable too.

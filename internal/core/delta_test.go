@@ -75,7 +75,9 @@ func restoreDelta(t *testing.T, agg AggKind, wk window.Kind, opts Options, ck st
 // chain yields a ForEachState dump byte-identical to restoring a full
 // checkpoint taken at the same cut — even after every ancestor directory
 // has been deleted, since hard links make each link self-contained. Run
-// with group commit on and off so both sync schedules are covered.
+// with the sync window fanned across workers ("group") and with one
+// worker that fsyncs the files one at a time ("per-file-sync", the
+// window's serial path), so both sync schedules are covered.
 func TestDeltaChainRestoreMatchesFull(t *testing.T) {
 	const links = 6
 	for _, p := range []Pattern{PatternAAR, PatternAUR, PatternRMW} {
@@ -84,7 +86,9 @@ func TestDeltaChainRestoreMatchesFull(t *testing.T) {
 			t.Run(fmt.Sprintf("%v/%s", p, mode), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(p)*31 + int64(len(mode))))
 				agg, wk, opts := crashConfig(p)
-				opts.DisableGroupCommit = mode == "per-file-sync"
+				if mode == "per-file-sync" {
+					opts.Parallelism = 1
+				}
 				s := openStore(t, agg, wk, opts)
 				o := newCrashOracle(p)
 				ctr := 0
@@ -106,7 +110,7 @@ func TestDeltaChainRestoreMatchesFull(t *testing.T) {
 				}
 				// A full checkpoint at the exact same cut (no ops between).
 				full := filepath.Join(base, "full")
-				if err := s.CheckpointWithMeta(full, nil); err != nil {
+				if err := s.Checkpoint(full); err != nil {
 					t.Fatal(err)
 				}
 				if st := s.Stats(); st.CkptLinkedBytes == 0 {
@@ -436,7 +440,7 @@ func TestDeltaNoHardlinkFSCopyFallback(t *testing.T) {
 				parent = ck
 			}
 			full := filepath.Join(base, "full")
-			if err := s.CheckpointWithMeta(full, nil); err != nil {
+			if err := s.Checkpoint(full); err != nil {
 				t.Fatal(err)
 			}
 			st := s.Stats()

@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"flowkv/internal/binio"
+	"flowkv/internal/ckpt"
 	"flowkv/internal/faultfs"
 )
 
@@ -15,15 +16,10 @@ import (
 // without a valid MANIFEST is not a checkpoint.
 const manifestName = "MANIFEST"
 
-// manifestMagic identifies the original manifest format. Full
-// checkpoints still emit it, so their directories stay byte-compatible
-// with every earlier release.
-const manifestMagic = "flowkv-checkpoint-v1"
-
-// manifestMagicV2 is the incremental-checkpoint manifest format: the
-// header additionally records the parent generation's base name and the
-// chain depth. Readers accept both magics.
-const manifestMagicV2 = "flowkv-checkpoint-v2"
+// manifestMagic versions the MANIFEST header: magic, pattern, instance
+// count, parent name, chain depth. A base checkpoint records parent ""
+// and depth 0. It is the only header format; earlier ones are refused.
+const manifestMagic = "flowkv-checkpoint-v2"
 
 // ErrCheckpointInvalid is the sentinel matched (via errors.Is) by every
 // rejection of a partial, corrupted, or mismatched checkpoint directory.
@@ -117,24 +113,15 @@ func snapshotDir(fsys faultfs.FS, root string) ([]manifestEntry, error) {
 }
 
 // encodeManifest serializes a manifest: a header record (magic, pattern,
-// instance count, and for incremental checkpoints the parent name and
-// chain depth) followed by one record per file, all CRC-framed through
-// binio. A manifest with no parent and depth 0 is emitted in the v1
-// format, byte-identical to pre-incremental checkpoints.
+// instance count, parent name, chain depth) followed by one record per
+// file, all CRC-framed through binio.
 func encodeManifest(m *manifest) []byte {
 	var buf, payload []byte
-	v2 := m.parent != "" || m.depth != 0
-	if v2 {
-		payload = binio.PutString(payload[:0], manifestMagicV2)
-	} else {
-		payload = binio.PutString(payload[:0], manifestMagic)
-	}
+	payload = binio.PutString(payload[:0], manifestMagic)
 	payload = binio.PutUvarint(payload, uint64(m.pattern))
 	payload = binio.PutUvarint(payload, uint64(m.instances))
-	if v2 {
-		payload = binio.PutString(payload, m.parent)
-		payload = binio.PutUvarint(payload, uint64(m.depth))
-	}
+	payload = binio.PutString(payload, m.parent)
+	payload = binio.PutUvarint(payload, uint64(m.depth))
 	buf = binio.AppendRecord(buf, payload)
 	for _, e := range m.entries {
 		payload = binio.PutString(payload[:0], e.path)
@@ -145,10 +132,9 @@ func encodeManifest(m *manifest) []byte {
 	return buf
 }
 
-// parseManifest decodes a serialized manifest, accepting both the v1 and
-// the v2 (parent-bearing) header. On rejection it returns a non-empty
-// reason and a nil manifest; it never panics, whatever the input (fuzzed
-// by FuzzParseManifest and FuzzParseDeltaManifest).
+// parseManifest decodes a serialized manifest. On rejection it returns a
+// non-empty reason and a nil manifest; it never panics, whatever the
+// input (fuzzed by FuzzParseManifest).
 func parseManifest(b []byte) (*manifest, string) {
 	header, n, err := binio.ReadRecord(b)
 	if err != nil {
@@ -156,7 +142,7 @@ func parseManifest(b []byte) (*manifest, string) {
 	}
 	b = b[n:]
 	magic, hn, err := binio.String(header)
-	if err != nil || (magic != manifestMagic && magic != manifestMagicV2) {
+	if err != nil || magic != manifestMagic {
 		return nil, "bad magic"
 	}
 	header = header[hn:]
@@ -170,29 +156,26 @@ func parseManifest(b []byte) (*manifest, string) {
 		return nil, "truncated header"
 	}
 	header = header[hn:]
-	m := &manifest{pattern: Pattern(pat), instances: int(inst)}
-	if magic == manifestMagicV2 {
-		parent, pn, err := binio.String(header)
-		if err != nil {
-			return nil, "truncated header"
-		}
-		header = header[pn:]
-		depth, _, err := binio.Uvarint(header)
-		if err != nil {
-			return nil, "truncated header"
-		}
-		// A parent reference is a sibling directory's base name; path
-		// separators or traversal would let a crafted manifest point the
-		// chain walk (GC refcounting, flowkvctl display) outside the
-		// checkpoint parent directory.
-		if parent != filepath.Base(parent) && parent != "" {
-			return nil, "parent is not a sibling name"
-		}
-		if parent == "." || parent == ".." {
-			return nil, "parent is not a sibling name"
-		}
-		m.parent, m.depth = parent, int(depth)
+	parent, pn, err := binio.String(header)
+	if err != nil {
+		return nil, "truncated header"
 	}
+	header = header[pn:]
+	depth, _, err := binio.Uvarint(header)
+	if err != nil {
+		return nil, "truncated header"
+	}
+	// A parent reference is a sibling directory's base name; path
+	// separators or traversal would let a crafted manifest point the
+	// chain walk (GC refcounting, flowkvctl display) outside the
+	// checkpoint parent directory.
+	if parent != filepath.Base(parent) && parent != "" {
+		return nil, "parent is not a sibling name"
+	}
+	if parent == "." || parent == ".." {
+		return nil, "parent is not a sibling name"
+	}
+	m := &manifest{pattern: Pattern(pat), instances: int(inst), parent: parent, depth: int(depth)}
 	for len(b) > 0 {
 		rec, n, err := binio.ReadRecord(b)
 		if err != nil {
@@ -218,23 +201,12 @@ func parseManifest(b []byte) (*manifest, string) {
 	return m, ""
 }
 
-// writeManifest snapshots dir and writes its MANIFEST. The manifest file
-// and the directory entry are fsynced, so after writeManifest returns the
-// checkpoint contents are fully described and durable — ready for the
-// atomic rename commit.
-func writeManifest(fsys faultfs.FS, dir string, p Pattern, instances int) error {
-	entries, err := snapshotDir(fsys, dir)
-	if err != nil {
-		return fmt.Errorf("flowkv: manifest: %w", err)
-	}
-	return writeManifestEncoded(fsys, dir, &manifest{pattern: p, instances: instances, entries: entries})
-}
-
 // writeManifestEncoded writes a fully-specified manifest — entries
-// precomputed by the caller, not re-read from disk. The delta checkpoint
-// path depends on this: re-hashing the directory would re-read every
-// hard-linked segment and put the O(total-state) cost back into every
-// commit.
+// precomputed by the caller, not re-read from disk: re-hashing the
+// directory would re-read every hard-linked segment and put the
+// O(total-state) cost back into every commit. The manifest file and the
+// directory entry are fsynced, so once it returns the checkpoint is
+// fully described and durable — ready for the atomic rename commit.
 func writeManifestEncoded(fsys faultfs.FS, dir string, m *manifest) error {
 	buf := encodeManifest(m)
 	f, err := fsys.Create(filepath.Join(dir, manifestName))
@@ -292,13 +264,35 @@ func verifyCheckpoint(fsys faultfs.FS, dir string, p Pattern, instances int) err
 	if err != nil {
 		return err
 	}
-	return verifyContents(fsys, dir, m.entries)
+	return verifyContents(fsys, dir, m)
 }
 
-// verifyContents checks dir's current files against the manifest entries
+// verifyContents checks dir's current files against manifest m: every
+// instance directory must be in the segmented layout (its SEGMENTS file
+// listed), every listed file present with the recorded size and CRC32C,
+// and no unlisted files.
+func verifyContents(fsys faultfs.FS, dir string, m *manifest) error {
+	if m.instances > len(m.entries) {
+		return &CheckpointError{Dir: dir, File: manifestName,
+			Reason: fmt.Sprintf("%d instances but %d files", m.instances, len(m.entries))}
+	}
+	listed := make(map[string]bool, len(m.entries))
+	for _, e := range m.entries {
+		listed[e.path] = true
+	}
+	for i := 0; i < m.instances; i++ {
+		name := path.Join(fmt.Sprintf("inst-%02d", i), ckpt.MetaName)
+		if !listed[name] {
+			return &CheckpointError{Dir: dir, File: name, Reason: "instance has no SEGMENTS (not a segmented checkpoint)"}
+		}
+	}
+	return verifyFiles(fsys, dir, m.entries)
+}
+
+// verifyFiles checks dir's current files against the manifest entries
 // want: every listed file present with the recorded size and CRC32C, and
 // no unlisted files.
-func verifyContents(fsys faultfs.FS, dir string, want []manifestEntry) error {
+func verifyFiles(fsys faultfs.FS, dir string, want []manifestEntry) error {
 	got, err := snapshotDir(fsys, dir)
 	if err != nil {
 		return &CheckpointError{Dir: dir, Reason: fmt.Sprintf("unreadable contents: %v", err)}

@@ -35,7 +35,7 @@ func TestCheckpointMetaRoundTrip(t *testing.T) {
 	}
 	meta := []byte("offset=1234 wm=77")
 	ckpt := filepath.Join(base, "ckpt")
-	if err := s.CheckpointWithMeta(ckpt, meta); err != nil {
+	if err := s.CheckpointDelta(ckpt, "", meta); err != nil {
 		t.Fatal(err)
 	}
 
@@ -89,7 +89,7 @@ func TestRestoreRejectsTamperedMeta(t *testing.T) {
 		t.Fatal(err)
 	}
 	ckpt := filepath.Join(base, "ckpt")
-	if err := s.CheckpointWithMeta(ckpt, []byte("offset=42")); err != nil {
+	if err := s.CheckpointDelta(ckpt, "", []byte("offset=42")); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(ckpt, appMetaName)

@@ -7,7 +7,6 @@ import (
 	"flowkv/internal/binio"
 	"flowkv/internal/ckpt"
 	"flowkv/internal/faultfs"
-	"flowkv/internal/logfile"
 )
 
 // Delta checkpoints persist the RMW store as a replay stream: one
@@ -23,84 +22,6 @@ const (
 	deltaKindUpsert    byte = 0
 	deltaKindTombstone byte = 1
 )
-
-// Checkpoint writes a consistent snapshot of the instance into dir. The
-// cut is one mu critical section that snapshots the live state directly:
-// every buffered aggregate (aliased, not copied — Put installs fresh
-// slices, never mutates in place) and every index span not superseded by
-// a buffered copy. The snapshot is then written to a fresh log in dir —
-// live spans re-read from the instance log, buffered values encoded — and
-// fsynced. The hash index is not persisted: it is rebuilt by scanning the
-// checkpoint log on restore, where every record is live (consumed entries
-// were absent from the cut, so they cannot resurrect).
-//
-// Writing the checkpoint from the snapshot, rather than compacting the
-// live log and copying it, is what makes the cut exact under concurrent
-// writers: a Put that lands after the cut retires its identity's index
-// entry immediately (under mu alone), so any scheme that re-reads the
-// live index after the cut can miss an aggregate that was acknowledged
-// before it. The snapshot taken inside the cut is immune — spans stay
-// readable because compaction needs ioMu, which Checkpoint holds.
-//
-// Checkpoint holds only ioMu, so concurrent Puts and buffer-served Gets
-// proceed while the snapshot is written. Aggregates put after the cut are
-// not in the snapshot.
-func (s *Store) Checkpoint(dir string) error {
-	s.ioMu.Lock()
-	defer s.ioMu.Unlock()
-	fsys := s.dir.FS()
-
-	// The cut. flushing is always nil here: flushes run under ioMu.
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	bufSnap := make(map[id][]byte, len(s.buf))
-	for ident, v := range s.buf {
-		bufSnap[ident] = v
-	}
-	spanSnap := make(map[id]span, len(s.index))
-	for ident, sp := range s.index {
-		if _, buffered := bufSnap[ident]; buffered {
-			continue // the buffered copy is newer
-		}
-		spanSnap[ident] = sp
-	}
-	s.mu.Unlock()
-
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("rmw: checkpoint: %w", err)
-	}
-	ck, err := logfile.CreateFS(fsys, filepath.Join(dir, "rmw.log"), s.bd)
-	if err != nil {
-		return err
-	}
-	for ident, sp := range spanSnap {
-		payload, err := s.log.ReadRecordAt(sp.off, sp.n)
-		if err != nil {
-			ck.Close()
-			return fmt.Errorf("rmw: checkpoint %q: %w", ident.key, err)
-		}
-		if _, _, err := ck.Append(payload); err != nil {
-			ck.Close()
-			return err
-		}
-	}
-	var payload []byte
-	for ident, v := range bufSnap {
-		payload = encodeEntry(payload[:0], ident, v)
-		if _, _, err := ck.Append(payload); err != nil {
-			ck.Close()
-			return err
-		}
-	}
-	if err := ck.Sync(); err != nil {
-		ck.Close()
-		return err
-	}
-	return ck.Close()
-}
 
 // segWriter streams kind-prefixed records into one segment file,
 // accumulating the framed bytes' length and CRC32C for the manifest.
@@ -124,12 +45,21 @@ func (w *segWriter) emit(payload []byte) error {
 }
 
 // CheckpointDelta writes a segmented snapshot of the instance into dir.
-// The cut is the same one-mu critical section Checkpoint uses, but what
-// it snapshots is the deltas map: when the parent checkpoint's cut
-// matches this instance's last committed cut, only identities mutated
-// since then are written (as upserts or tombstones) and the parent's
-// segments are hard-linked across; otherwise the live state is dumped
-// whole as the base of a new chain. The returned Result's Commit hook
+// The cut is one mu critical section. When the parent checkpoint's cut
+// matches this instance's last committed cut, it snapshots the deltas
+// map: only identities mutated since then are written (as upserts or
+// tombstones) and the parent's segments are hard-linked across.
+// Otherwise it snapshots the live state directly — every buffered
+// aggregate (aliased, not copied — Put installs fresh slices, never
+// mutates in place) and every index span not superseded by a buffered
+// copy — as the base of a new chain. Snapshotting inside the cut is what
+// makes it exact under concurrent writers: a Put that lands after the
+// cut retires its identity's index entry immediately (under mu alone),
+// so re-reading the live index later could miss an aggregate that was
+// acknowledged before it; the snapshotted spans stay readable because
+// compaction needs ioMu, which CheckpointDelta holds. The first cut also
+// arms the deltas map: a store that never checkpoints records no marks.
+// The returned Result's Commit hook
 // must be invoked only after the enclosing checkpoint's atomic rename:
 // it retires the delta marks this cut absorbed (identities re-dirtied
 // mid-write keep their newer marks) and records the cut id the next
@@ -155,6 +85,9 @@ func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string)
 	if s.closed {
 		s.mu.Unlock()
 		return nil, ErrClosed
+	}
+	if s.deltas == nil {
+		s.deltas = make(map[id]deltaMark)
 	}
 	incremental := pstate != nil && parent.CutID != 0 && parent.CutID == s.lastCutID
 	cutSeqs := make(map[id]uint64, len(s.deltas))
@@ -274,7 +207,7 @@ func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string)
 }
 
 // Restore rebuilds a freshly-opened (empty) instance from a checkpoint
-// directory, re-deriving the hash index by scanning the copied log.
+// directory written by CheckpointDelta.
 func (s *Store) Restore(dir string) error {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
@@ -291,64 +224,15 @@ func (s *Store) Restore(dir string) error {
 	if s.log.Size() != 0 {
 		return fmt.Errorf("rmw: restore into a non-empty store")
 	}
-	fsys := s.dir.FS()
-	// Segmented checkpoints (a SEGMENTS manifest present) are replayed:
-	// the delta stream's upserts append to a fresh live log in arrival
-	// order (a later upsert of the same identity supersedes, leaving
-	// dead bytes) and tombstones drop the identity. The cut id carries
-	// over so the delta chain continues across the restart.
-	meta, err := ckpt.ReadMeta(fsys, dir)
+	// The delta stream is replayed: upserts append to a fresh live log in
+	// arrival order (a later upsert of the same identity supersedes,
+	// leaving dead bytes) and tombstones drop the identity. The cut id
+	// carries over so the delta chain continues across the restart.
+	meta, err := ckpt.ReadMeta(s.dir.FS(), dir)
 	if err != nil {
 		return fmt.Errorf("rmw: restore: %w", err)
 	}
-	if meta != nil {
-		return s.restoreDelta(dir, meta)
-	}
-	oldLog := s.log
-	gen := s.gen + 1
-	name := fmt.Sprintf("rmw-%06d.log", gen)
-	if err := faultfs.CopyFile(fsys, filepath.Join(dir, "rmw.log"), filepath.Join(s.dir.Root(), name)); err != nil {
-		return err
-	}
-	l, err := s.dir.Open(name)
-	if err != nil {
-		return err
-	}
-	s.log, s.gen = l, gen
-	oldLog.Remove()
-
-	sc, err := s.log.Scanner(0)
-	if err != nil {
-		return err
-	}
-	newIndex := make(map[id]span)
-	prev := int64(0)
-	for sc.Scan() {
-		key, w, _, err := decodeEntry(sc.Record())
-		if err != nil {
-			return fmt.Errorf("rmw: restore: %w", err)
-		}
-		ident := id{key: string(key), w: w}
-		newIndex[ident] = span{off: prev, n: int(sc.Offset() - prev)}
-		prev = sc.Offset()
-	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	// Integrity check: the reconstructed spans must decode.
-	for ident, sp := range newIndex {
-		payload, err := s.log.ReadRecordAt(sp.off, sp.n)
-		if err != nil {
-			return fmt.Errorf("rmw: restore verify %q: %w", ident.key, err)
-		}
-		if _, _, _, err := decodeEntry(payload); err != nil {
-			return fmt.Errorf("rmw: restore verify %q: %w", ident.key, err)
-		}
-	}
-	s.mu.Lock()
-	s.index = newIndex
-	s.mu.Unlock()
-	return nil
+	return s.restoreDelta(dir, meta)
 }
 
 // restoreDelta replays a segmented checkpoint's delta stream; the caller
@@ -421,6 +305,7 @@ func (s *Store) restoreDelta(dir string, meta *ckpt.Meta) error {
 	s.index = newIndex
 	s.dead = dead
 	s.lastCutID = meta.CutID
+	s.deltas = make(map[id]deltaMark) // armed: the chain continues from here
 	s.mu.Unlock()
 	return nil
 }

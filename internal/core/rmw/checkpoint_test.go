@@ -5,8 +5,17 @@ import (
 	"path/filepath"
 	"testing"
 
+	"flowkv/internal/ckpt"
+	"flowkv/internal/faultfs"
 	"flowkv/internal/window"
 )
+
+// fullCheckpoint writes a chain-base checkpoint of s into dir: the
+// instance's only checkpoint writer, with no parent.
+func fullCheckpoint(s *Store, dir string) error {
+	_, err := s.CheckpointDelta(dir, nil, "")
+	return err
+}
 
 func TestStoreLevelCheckpointRestore(t *testing.T) {
 	src := openTest(t, Options{WriteBufferBytes: 1})
@@ -26,7 +35,7 @@ func TestStoreLevelCheckpointRestore(t *testing.T) {
 		}
 	}
 	ckpt := filepath.Join(t.TempDir(), "ckpt")
-	if err := src.Checkpoint(ckpt); err != nil {
+	if err := fullCheckpoint(src, ckpt); err != nil {
 		t.Fatal(err)
 	}
 
@@ -74,7 +83,7 @@ func TestRestoreIntoDirtyStoreFails(t *testing.T) {
 	src := openTest(t, Options{})
 	src.Put([]byte("k"), window.Window{Start: 0, End: 100}, []byte("v"))
 	ckpt := filepath.Join(t.TempDir(), "ckpt")
-	if err := src.Checkpoint(ckpt); err != nil {
+	if err := fullCheckpoint(src, ckpt); err != nil {
 		t.Fatal(err)
 	}
 	dirty := openTest(t, Options{})
@@ -87,7 +96,7 @@ func TestRestoreIntoDirtyStoreFails(t *testing.T) {
 func TestCheckpointClosed(t *testing.T) {
 	s := openTest(t, Options{})
 	s.Close()
-	if err := s.Checkpoint(t.TempDir()); err != ErrClosed {
+	if err := fullCheckpoint(s, t.TempDir()); err != ErrClosed {
 		t.Errorf("Checkpoint: %v", err)
 	}
 	if err := s.Restore(t.TempDir()); err != ErrClosed {
@@ -107,5 +116,74 @@ func TestDiskUsageAndFlush(t *testing.T) {
 	}
 	if s.BufferedBytes() != 0 {
 		t.Errorf("BufferedBytes = %d after Flush", s.BufferedBytes())
+	}
+}
+
+// deltaMarks counts the recorded delta marks.
+func deltaMarks(s *Store) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.deltas)
+}
+
+// TestNeverCheckpointedStoreRecordsNoMarks: delta marks exist for the
+// next checkpoint, so a store that never checkpoints must not grow them
+// — memory stays bounded by live state, not by how many identities
+// ever passed through.
+func TestNeverCheckpointedStoreRecordsNoMarks(t *testing.T) {
+	s := openTest(t, Options{WriteBufferBytes: 64 << 20})
+	w := window.Window{Start: 0, End: 100}
+	for i := 0; i < 100000; i++ {
+		k := []byte(fmt.Sprintf("k%06d", i))
+		if err := s.Put(k, w, []byte("agg")); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := s.Get(k, w); !ok || err != nil {
+			t.Fatalf("take %s: ok=%v err=%v", k, ok, err)
+		}
+	}
+	if n := deltaMarks(s); n != 0 {
+		t.Fatalf("never-checkpointed store holds %d delta marks, want 0", n)
+	}
+}
+
+// TestMutationBetweenCutAndCommitReachesNextDelta: the first cut arms
+// the marks, so a Put landing after the base cut but before the base
+// commits is not in the base and must be shipped by the next delta.
+func TestMutationBetweenCutAndCommitReachesNextDelta(t *testing.T) {
+	s := openTest(t, Options{})
+	w := window.Window{Start: 0, End: 100}
+	if err := s.Put([]byte("early"), w, []byte("e")); err != nil {
+		t.Fatal(err)
+	}
+	base := filepath.Join(t.TempDir(), "base")
+	res, err := s.CheckpointDelta(base, nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put([]byte("late"), w, []byte("l")); err != nil {
+		t.Fatal(err)
+	}
+	res.Commit()
+	parent, err := ckpt.ReadMeta(faultfs.OS, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := filepath.Join(t.TempDir(), "next")
+	if _, err := s.CheckpointDelta(next, parent, base); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := ckpt.ReadMeta(faultfs.OS, next); err != nil || len(m.File(deltaLogical).Segments) != 2 {
+		t.Fatalf("next checkpoint does not extend the base with a delta segment: %+v, %v", m, err)
+	}
+	dst := openTest(t, Options{})
+	if err := dst.Restore(next); err != nil {
+		t.Fatal(err)
+	}
+	for k, want := range map[string]string{"early": "e", "late": "l"} {
+		got, ok, err := dst.Get([]byte(k), w)
+		if err != nil || !ok || string(got) != want {
+			t.Fatalf("%s after delta restore = %q,%v,%v; want %q", k, got, ok, err, want)
+		}
 	}
 }

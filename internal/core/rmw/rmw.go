@@ -117,6 +117,8 @@ type Store struct {
 	closed   bool
 	// deltas tracks every identity mutated since the last committed
 	// delta checkpoint: an upsert (Put) or a tombstone (fetch-&-remove).
+	// It stays nil (not armed, nothing recorded) until the first
+	// checkpoint cut or a restore.
 	// CheckpointDelta persists exactly these marks on top of the parent
 	// checkpoint; the seq lets its post-commit hook retire only marks
 	// that were not re-dirtied while the checkpoint was being written.
@@ -150,12 +152,11 @@ func Open(opts Options) (*Store, error) {
 	}
 	dir.SetPolicy(opts.Policy)
 	s := &Store{
-		opts:   opts,
-		dir:    dir,
-		bd:     opts.Breakdown,
-		buf:    make(map[id][]byte),
-		index:  make(map[id]span),
-		deltas: make(map[id]deltaMark),
+		opts:  opts,
+		dir:   dir,
+		bd:    opts.Breakdown,
+		buf:   make(map[id][]byte),
+		index: make(map[id]span),
 	}
 	if err := s.openGen(0); err != nil {
 		return nil, err
@@ -164,8 +165,11 @@ func Open(opts Options) (*Store, error) {
 }
 
 // markDeltaLocked records a mutation of ident for the next delta
-// checkpoint; the caller holds mu.
+// checkpoint once marks are armed; the caller holds mu.
 func (s *Store) markDeltaLocked(ident id, tomb bool) {
+	if s.deltas == nil {
+		return
+	}
 	s.deltaSeq++
 	s.deltas[ident] = deltaMark{seq: s.deltaSeq, tomb: tomb}
 }

@@ -274,7 +274,7 @@ func (s *Store) scrubCheckpointParent(parent string, rep *ScrubReport, pacer *sc
 		for _, me := range m.entries {
 			total += me.size
 		}
-		if verr := verifyContents(fsys, dir, m.entries); verr != nil {
+		if verr := verifyContents(fsys, dir, m); verr != nil {
 			s.quarantineScrubbed(dir, verr, rep)
 			pacer.pace(total)
 			continue

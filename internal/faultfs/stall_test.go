@@ -17,6 +17,23 @@ func stallFile(t *testing.T, inj *Injector) File {
 	return f
 }
 
+// syncFreeFS is a base FS whose files fsync for free, so a test timing
+// an injected stall measures the stall rather than the device's own
+// flush latency, which on a busy disk can exceed the stall itself.
+type syncFreeFS struct{ FS }
+
+type syncFreeFile struct{ File }
+
+func (syncFreeFile) Sync() error { return nil }
+
+func (s syncFreeFS) Create(path string) (File, error) {
+	f, err := s.FS.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	return syncFreeFile{f}, nil
+}
+
 func TestStallDelaySlowsOpAndSucceeds(t *testing.T) {
 	inj := NewInjector(OS)
 	f := stallFile(t, inj)
@@ -34,7 +51,7 @@ func TestStallDelaySlowsOpAndSucceeds(t *testing.T) {
 }
 
 func TestStallDelayRampGrows(t *testing.T) {
-	inj := NewInjector(OS)
+	inj := NewInjector(syncFreeFS{OS})
 	f := stallFile(t, inj)
 	inj.SetRule(Rule{Op: OpSync, Delay: 2 * time.Millisecond, DelayRamp: 8 * time.Millisecond, Class: ClassPersistent})
 	var first, third time.Duration

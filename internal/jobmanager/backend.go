@@ -19,7 +19,7 @@ import (
 // memory. Reads are never charged: state already admitted may always be
 // drained (the same asymmetry as Degraded mode, which stays readable).
 //
-// The wrapper implements Unwrap, so capability probes (Checkpointer,
+// The wrapper implements Unwrap, so capability probes (DeltaCheckpointer,
 // FlowKVHealth, PartitionedWindowReader) reach the store underneath,
 // and checkpoint I/O itself is NOT metered — a checkpoint is the
 // manager's durability obligation, not tenant traffic.

@@ -532,7 +532,7 @@ func TestLimitedBackendMetersWrites(t *testing.T) {
 		t.Fatalf("oversize write admitted with no stall (stalls=%d slept=%v)", stats.bytesSlow.Load(), slept)
 	}
 	// Capability probes reach through the wrapper.
-	if _, ok := statebackend.AsCheckpointer(lb); !ok {
-		t.Fatal("limitedBackend hides the Checkpointer capability")
+	if _, ok := statebackend.AsDeltaCheckpointer(lb); !ok {
+		t.Fatal("limitedBackend hides the DeltaCheckpointer capability")
 	}
 }

@@ -56,7 +56,7 @@ import (
 //
 // Determinism requirements on the pipeline: a seekable, deterministic
 // source, and every stateful backend must support checkpointing
-// (statebackend.Checkpointer — FlowKV). Worker interleaving across
+// (statebackend.DeltaCheckpointer — FlowKV). Worker interleaving across
 // stages is absorbed by the per-segment canonical sort.
 
 // Job file names inside Job.Dir.
@@ -67,16 +67,17 @@ const (
 	genPrefix   = "gen-"     // checkpoint generation directories
 )
 
-// jobMetaMagic versions the JOB file encoding. v3 appends the per-stage
-// routing tables (live-migration ownership); v2 added the per-stage
-// parallelisms (the key-range manifest); v1 files (neither) are still
-// readable — their layout is recovered from the generation directory
-// scan. New JOB files are always written as v3.
-const (
-	jobMetaMagic   = "flowkv-job3\n"
-	jobMetaMagicV2 = "flowkv-job2\n"
-	jobMetaMagicV1 = "flowkv-job1\n"
-)
+// jobMetaMagic versions the JOB file encoding: progress counters, the
+// per-stage parallelisms (the key-range manifest) and the per-stage
+// routing tables (live-migration ownership). It is the only version
+// read; older records fail with ErrBadMagic.
+const jobMetaMagic = "flowkv-job3\n"
+
+// ErrBadMagic reports a JOB record, shared-stage snapshot, operator
+// snapshot or migration journal that does not start with its current
+// format's magic: an older version or not that artifact at all. Each
+// artifact has one version; an older one is refused, never guessed at.
+var ErrBadMagic = errors.New("spe: bad magic")
 
 // ErrJobKilled reports a run aborted by the KillAfterTuples crash knob.
 var ErrJobKilled = errors.New("spe: job killed (simulated crash)")
@@ -97,7 +98,7 @@ var ErrProgressStalled = errors.New("spe: progress watchdog deadline exceeded")
 // Job configures a checkpointed pipeline run.
 type Job struct {
 	// Pipeline is the dataflow; every stateful backend must support
-	// checkpointing (statebackend.Checkpointer). Stage parallelism may
+	// checkpointing (statebackend.DeltaCheckpointer). Stage parallelism may
 	// differ from the committed generation's — Resume re-partitions the
 	// committed state along key ranges.
 	Pipeline *Pipeline
@@ -200,8 +201,7 @@ type JobMeta struct {
 	LedgerLen int64
 	// StagePars records each pipeline stage's parallelism at commit time
 	// — the key-range manifest: worker w of stage s held exactly the
-	// keys with routeKey(key, StagePars[s]) == w. Empty for jobs
-	// committed before the manifest existed (v1 JOB files).
+	// keys with routeKey(key, StagePars[s]) == w.
 	StagePars []int64
 	// Routing records each stage's live routing table at commit time:
 	// Routing[s][b] is the worker of stage s that owns hash bucket b
@@ -356,12 +356,12 @@ type jobStage struct {
 	ops  []opSnapshotter
 	// Private mode: one backend + checkpointer per worker.
 	backends []statebackend.Backend
-	cps      []statebackend.Checkpointer
+	cps      []statebackend.DeltaCheckpointer
 	// Shared mode: the stage's single backend and checkpointer, plus the
 	// deferred drop tracker whose fired-window queue rides inside the
 	// single-owner cut (nil when the backend has no partitioned reads).
 	shared   statebackend.Backend
-	sharedCP statebackend.Checkpointer
+	sharedCP statebackend.DeltaCheckpointer
 	drops    *sharedDrops
 	// Per-worker self-healer stop functions (nil entries when no healer
 	// runs); sharedHeal covers shared mode. Tracked per worker so live
@@ -480,7 +480,7 @@ func (j *Job) run(meta *JobMeta) (*JobResult, error) {
 		}
 		js := &jobStage{si: si, name: rt.stage.Name, par: rt.par, join: rt.stage.Join != nil}
 		if rt.shared != nil {
-			cp, ok := statebackend.AsCheckpointer(rt.shared)
+			cp, ok := statebackend.AsDeltaCheckpointer(rt.shared)
 			if !ok {
 				return fail(fmt.Errorf("spe: stage %s: shared backend %s does not support checkpointing", rt.stage.Name, rt.shared.Name()))
 			}
@@ -494,7 +494,7 @@ func (j *Job) run(meta *JobMeta) (*JobResult, error) {
 			}
 			js.ops = append(js.ops, snapOp)
 			if rt.shared == nil {
-				cp, ok := statebackend.AsCheckpointer(op.Backend())
+				cp, ok := statebackend.AsDeltaCheckpointer(op.Backend())
 				if !ok {
 					return fail(fmt.Errorf("spe: stage %s: backend %s does not support checkpointing", rt.stage.Name, op.Backend().Name()))
 				}
@@ -701,8 +701,7 @@ func (jr *jobRun) commit(final bool) error {
 	// generation, which clearGens has kept alive exactly for this: each
 	// backend hard-links the bytes gen-1 already persisted and rewrites
 	// only the delta. Any unusable parent (first generation, a
-	// parallelism change, a legacy-format ancestor) silently falls back
-	// to a full base.
+	// parallelism change) silently falls back to a full base.
 	prevGenDir := ""
 	if jr.gen >= 1 {
 		prevGenDir = filepath.Join(j.Dir, genDirName(jr.gen))
@@ -882,18 +881,11 @@ func (jr *jobRun) checkpointFailed(js *jobStage, worker int, b statebackend.Back
 // reaches Failed, or a failure that persists with the store Healthy
 // (confined to the snapshot directory), aborts the attempt; the run ends
 // uncommitted and stays resumable.
-func (jr *jobRun) checkpointBackend(cp statebackend.Checkpointer, b statebackend.Backend, dir, parent string, meta []byte) error {
+func (jr *jobRun) checkpointBackend(cp statebackend.DeltaCheckpointer, b statebackend.Backend, dir, parent string, meta []byte) error {
 	clk := clock.Or(jr.j.Clock)
-	// Backends with the incremental capability always go through the
-	// delta path — with an empty or unusable parent it writes a full
-	// base in the segmented format, so later generations can link
-	// against it; plain Checkpointers take full snapshots forever.
-	snap := func() error {
-		if dc, ok := cp.(statebackend.DeltaCheckpointer); ok {
-			return dc.CheckpointDeltaMeta(dir, parent, meta)
-		}
-		return cp.CheckpointMeta(dir, meta)
-	}
+	// With an empty or unusable parent the delta path writes a full
+	// base, so later generations can link against it.
+	snap := func() error { return cp.CheckpointDeltaMeta(dir, parent, meta) }
 	if pd := jr.j.ProgressDeadline; pd > 0 {
 		// Checkpoint-side progress watchdog: a snapshot wedged in a hung
 		// syscall (no store-level OpDeadline to bound it) is abandoned at
@@ -1188,17 +1180,10 @@ func decodeJobMeta(b []byte) (JobMeta, error) {
 	if err != nil {
 		return JobMeta{}, fmt.Errorf("spe: corrupt JOB file: %w", err)
 	}
-	version := 3
-	switch {
-	case len(payload) >= len(jobMetaMagic) && string(payload[:len(jobMetaMagic)]) == jobMetaMagic:
-	case len(payload) >= len(jobMetaMagicV2) && string(payload[:len(jobMetaMagicV2)]) == jobMetaMagicV2:
-		version = 2
-	case len(payload) >= len(jobMetaMagicV1) && string(payload[:len(jobMetaMagicV1)]) == jobMetaMagicV1:
-		version = 1
-	default:
-		return JobMeta{}, fmt.Errorf("spe: not a JOB file (bad magic)")
+	d := snapDecoder{b: payload}
+	if err := d.magic(jobMetaMagic); err != nil {
+		return JobMeta{}, fmt.Errorf("spe: not a JOB file: %w", err)
 	}
-	d := snapDecoder{b: payload[len(jobMetaMagic):]} // all three magics have equal length
 	var m JobMeta
 	m.Gen = d.varint()
 	m.Final = d.varint() != 0
@@ -1207,31 +1192,27 @@ func decodeJobMeta(b []byte) (JobMeta, error) {
 	m.MaxTS = d.varint()
 	m.SinceWM = d.varint()
 	m.LedgerLen = d.varint()
-	if version >= 2 {
-		n := d.uvarint()
-		if n > maxShardSnaps {
-			return JobMeta{}, fmt.Errorf("spe: corrupt JOB file: %d stages", n)
-		}
-		for i := uint64(0); i < n; i++ {
-			m.StagePars = append(m.StagePars, d.varint())
-		}
+	n := d.uvarint()
+	if n > maxShardSnaps {
+		return JobMeta{}, fmt.Errorf("spe: corrupt JOB file: %d stages", n)
 	}
-	if version >= 3 {
-		n := d.uvarint()
-		if n > maxShardSnaps {
-			return JobMeta{}, fmt.Errorf("spe: corrupt JOB file: %d routing tables", n)
+	for i := uint64(0); i < n; i++ {
+		m.StagePars = append(m.StagePars, d.varint())
+	}
+	n = d.uvarint()
+	if n > maxShardSnaps {
+		return JobMeta{}, fmt.Errorf("spe: corrupt JOB file: %d routing tables", n)
+	}
+	for i := uint64(0); i < n; i++ {
+		rn := d.uvarint()
+		if rn > maxShardSnaps {
+			return JobMeta{}, fmt.Errorf("spe: corrupt JOB file: %d routing entries", rn)
 		}
-		for i := uint64(0); i < n; i++ {
-			rn := d.uvarint()
-			if rn > maxShardSnaps {
-				return JobMeta{}, fmt.Errorf("spe: corrupt JOB file: %d routing entries", rn)
-			}
-			var rt []int64
-			for k := uint64(0); k < rn; k++ {
-				rt = append(rt, d.varint())
-			}
-			m.Routing = append(m.Routing, rt)
+		var rt []int64
+		for k := uint64(0); k < rn; k++ {
+			rt = append(rt, d.varint())
 		}
+		m.Routing = append(m.Routing, rt)
 	}
 	if d.err != nil {
 		return JobMeta{}, fmt.Errorf("spe: corrupt JOB file: %w", d.err)

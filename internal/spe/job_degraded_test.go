@@ -5,6 +5,7 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,9 +14,9 @@ import (
 	"flowkv/internal/window"
 )
 
-// TestShardSnapsCodecFiredWindows covers the v2 shared-stage snapshot
+// TestShardSnapsCodecFiredWindows covers the shared-stage snapshot
 // frame: the fired-window queue rides next to the per-worker operator
-// snapshots, and v1 frames (no queue) still decode.
+// snapshots, and v1 frames (no queue) are refused with ErrBadMagic.
 func TestShardSnapsCodecFiredWindows(t *testing.T) {
 	snaps := [][]byte{[]byte("worker-0"), []byte("worker-1"), nil}
 	fired := []window.Window{{Start: 0, End: 64}, {Start: 64, End: 128}}
@@ -42,17 +43,13 @@ func TestShardSnapsCodecFiredWindows(t *testing.T) {
 	}
 
 	// v1 frame: same layout minus the queue, old magic.
-	v1 := []byte(shardSnapsMagicV1)
+	v1 := []byte(strings.Replace(shardSnapsMagic, "snaps2", "snaps1", 1))
 	v1 = binio.PutUvarint(v1, uint64(len(snaps)))
 	for _, s := range snaps {
 		v1 = binio.PutBytes(v1, s)
 	}
-	gotSnaps, gotFired, err = decodeShardSnaps(v1)
-	if err != nil {
-		t.Fatalf("v1 fallback: %v", err)
-	}
-	if len(gotSnaps) != len(snaps) || gotFired != nil {
-		t.Fatalf("v1 fallback: %d snaps, fired=%v", len(gotSnaps), gotFired)
+	if _, _, err := decodeShardSnaps(v1); !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("v1 frame: err = %v, want ErrBadMagic", err)
 	}
 
 	// Corruption must be rejected, not panic.

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 
 	"flowkv/internal/binio"
@@ -482,10 +483,9 @@ func TestJobMetaRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, m) {
 		t.Fatalf("meta round trip: got %+v want %+v", got, m)
 	}
-	// A v1 JOB file (no key-range manifest) still decodes; the manifest
-	// comes back empty and the layout is recovered from the generation
-	// directory scan instead.
-	v1 := []byte(jobMetaMagicV1)
+	// A v1 JOB file (no key-range manifest) is refused with ErrBadMagic:
+	// one format per artifact.
+	v1 := []byte(strings.Replace(jobMetaMagic, "job3", "job1", 1))
 	v1 = binio.PutVarint(v1, m.Gen)
 	v1 = binio.PutVarint(v1, 1)
 	v1 = binio.PutVarint(v1, m.Offset)
@@ -496,14 +496,8 @@ func TestJobMetaRoundTrip(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, jobMetaName), binio.AppendRecord(nil, v1), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	gotV1, err := ReadJobMeta(nil, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantV1 := m
-	wantV1.StagePars = nil
-	if !reflect.DeepEqual(gotV1, wantV1) {
-		t.Fatalf("v1 meta decode: got %+v want %+v", gotV1, wantV1)
+	if _, err := ReadJobMeta(nil, dir); !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("v1 JOB file: err = %v, want ErrBadMagic", err)
 	}
 	// A corrupt JOB file is detected, not silently accepted.
 	if err := os.WriteFile(filepath.Join(dir, jobMetaName), []byte("garbage"), 0o644); err != nil {

@@ -137,7 +137,7 @@ func decodeMigrationJournal(b []byte) ([]MigrationRecord, error) {
 	}
 	d := snapDecoder{b: payload}
 	if err := d.magic(migJournalMagic); err != nil {
-		return nil, fmt.Errorf("spe: not a migration journal (bad magic)")
+		return nil, fmt.Errorf("spe: not a migration journal: %w", err)
 	}
 	n := d.uvarint()
 	if n > maxShardSnaps {
@@ -400,7 +400,7 @@ func (jr *jobRun) migrateCommit(m *migRun) error {
 	// links), carrying the operator snapshot taken at this barrier.
 	snapS := js.ops[s].snapshotState()
 	cutDir := filepath.Join(m.dir, "cut")
-	if err := jr.migCut(js.cps[s], cutDir, filepath.Join(m.dir, "base"), snapS); err != nil {
+	if err := js.cps[s].CheckpointDeltaMeta(cutDir, filepath.Join(m.dir, "base"), snapS); err != nil {
 		return jr.abortMigration(m, fmt.Errorf("seal source: %w", err))
 	}
 	// Rollback cut of the destination, priced against its committed
@@ -409,7 +409,7 @@ func (jr *jobRun) migrateCommit(m *migRun) error {
 	snapD := js.ops[d].snapshotState()
 	dcutDir := filepath.Join(m.dir, "dcut")
 	dParent := filepath.Join(jr.j.Dir, genDirName(jr.gen), workerDirName(js.si, d))
-	if err := jr.migCut(js.cps[d], dcutDir, dParent, snapD); err != nil {
+	if err := js.cps[d].CheckpointDeltaMeta(dcutDir, dParent, snapD); err != nil {
 		return jr.abortMigration(m, fmt.Errorf("destination rollback cut: %w", err))
 	}
 
@@ -461,15 +461,6 @@ func (jr *jobRun) migrateCommit(m *migRun) error {
 	return nil
 }
 
-// migCut takes one checkpoint for the migration protocol, delta-priced
-// when the backend supports it.
-func (jr *jobRun) migCut(cp statebackend.Checkpointer, dir, parent string, meta []byte) error {
-	if dc, ok := cp.(statebackend.DeltaCheckpointer); ok {
-		return dc.CheckpointDeltaMeta(dir, parent, meta)
-	}
-	return cp.CheckpointMeta(dir, meta)
-}
-
 // reopenWorker destroys one worker's live store and reopens it empty
 // (the job's NewBackend wrapper already clears stale state on open).
 func (jr *jobRun) reopenWorker(js *jobStage, w int) (statebackend.Backend, error) {
@@ -486,7 +477,7 @@ func (jr *jobRun) reopenWorker(js *jobStage, w int) (statebackend.Backend, error
 // swapWorkerBackend installs a replacement backend for one parked
 // worker: stage bookkeeping, checkpointer, and the operator itself.
 func (jr *jobRun) swapWorkerBackend(js *jobStage, w int, b statebackend.Backend) error {
-	cp, ok := statebackend.AsCheckpointer(b)
+	cp, ok := statebackend.AsDeltaCheckpointer(b)
 	if !ok {
 		return fmt.Errorf("spe: migration: backend %s lost checkpoint support", b.Name())
 	}
@@ -519,7 +510,7 @@ func (jr *jobRun) rollbackMigration(m *migRun, newS statebackend.Backend, snapS,
 	if err != nil {
 		return fatal("reopen source store", err)
 	}
-	cp, ok := statebackend.AsCheckpointer(b)
+	cp, ok := statebackend.AsDeltaCheckpointer(b)
 	if !ok {
 		return fatal("reopen source store", fmt.Errorf("backend %s lost checkpoint support", b.Name()))
 	}
@@ -538,7 +529,7 @@ func (jr *jobRun) rollbackMigration(m *migRun, newS statebackend.Backend, snapS,
 	if err != nil {
 		return fatal("reopen destination store", err)
 	}
-	cpd, ok := statebackend.AsCheckpointer(bd)
+	cpd, ok := statebackend.AsDeltaCheckpointer(bd)
 	if !ok {
 		return fatal("reopen destination store", fmt.Errorf("backend %s lost checkpoint support", bd.Name()))
 	}

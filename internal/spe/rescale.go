@@ -184,15 +184,12 @@ func repartitionOpSnaps(snaps [][]byte, newPar int, join bool) ([][]byte, error)
 }
 
 // shardSnapsMagic frames the per-worker operator snapshots of one
-// shared-backend stage inside the stage's single checkpoint metadata.
-// v2 appends the drop tracker's fully-fired window queue — windows every
+// shared-backend stage inside the stage's single checkpoint metadata,
+// followed by the drop tracker's fully-fired window queue — windows every
 // owner has drained but whose merged state still waits on the stage-min
 // watermark — so a resumed stage drops them instead of leaking orphan
-// window state; v1 frames (no queue) still decode with an empty queue.
-const (
-	shardSnapsMagic   = "flowkv-shardsnaps2\n"
-	shardSnapsMagicV1 = "flowkv-shardsnaps1\n"
-)
+// window state. Older frames fail with ErrBadMagic.
+const shardSnapsMagic = "flowkv-shardsnaps2\n"
 
 // maxShardSnaps bounds the decoded worker count against corrupt input.
 const maxShardSnaps = 1 << 16
@@ -212,14 +209,9 @@ func encodeShardSnaps(snaps [][]byte, fired []window.Window) []byte {
 }
 
 func decodeShardSnaps(b []byte) (snaps [][]byte, fired []window.Window, err error) {
-	v1 := false
 	d := snapDecoder{b: b}
 	if err := d.magic(shardSnapsMagic); err != nil {
-		v1 = true
-		d = snapDecoder{b: b}
-		if err := d.magic(shardSnapsMagicV1); err != nil {
-			return nil, nil, err
-		}
+		return nil, nil, fmt.Errorf("spe: not a shared-stage snapshot: %w", err)
 	}
 	n := d.uvarint()
 	if n > maxShardSnaps {
@@ -229,15 +221,13 @@ func decodeShardSnaps(b []byte) (snaps [][]byte, fired []window.Window, err erro
 	for i := uint64(0); i < n; i++ {
 		snaps = append(snaps, d.bytes())
 	}
-	if !v1 {
-		f := d.uvarint()
-		if f > maxShardSnaps {
-			return nil, nil, fmt.Errorf("spe: corrupt shared-stage snapshot: %d fired windows", f)
-		}
-		for i := uint64(0); i < f; i++ {
-			w := window.Window{Start: d.varint(), End: d.varint()}
-			fired = append(fired, w)
-		}
+	f := d.uvarint()
+	if f > maxShardSnaps {
+		return nil, nil, fmt.Errorf("spe: corrupt shared-stage snapshot: %d fired windows", f)
+	}
+	for i := uint64(0); i < f; i++ {
+		w := window.Window{Start: d.varint(), End: d.varint()}
+		fired = append(fired, w)
 	}
 	if d.err != nil {
 		return nil, nil, fmt.Errorf("spe: corrupt shared-stage snapshot: %w", d.err)

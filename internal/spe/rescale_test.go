@@ -541,7 +541,7 @@ func TestOperatorSnapshotJoinReplay(t *testing.T) {
 				wi := 0
 				run(op1, tc.tuples[:cut], tc.wms, &wi)
 				// Checkpoint the cut: backend state + operator snapshot.
-				cp, ok := statebackend.AsCheckpointer(b1)
+				cp, ok := statebackend.AsDeltaCheckpointer(b1)
 				if !ok {
 					t.Fatal("flowkv backend lost its checkpointer")
 				}
@@ -552,7 +552,7 @@ func TestOperatorSnapshotJoinReplay(t *testing.T) {
 				b1.Destroy()
 				// Restore into fresh instances and replay the suffix.
 				b2 := mkBackend(filepath.Join(base, "post"))
-				cp2, _ := statebackend.AsCheckpointer(b2)
+				cp2, _ := statebackend.AsDeltaCheckpointer(b2)
 				snap, err := cp2.RestoreMeta(cpDir)
 				if err != nil {
 					t.Fatal(err)

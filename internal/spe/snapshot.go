@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"sort"
+	"strings"
 
 	"flowkv/internal/binio"
 	"flowkv/internal/window"
@@ -211,7 +212,7 @@ type snapDecoder struct {
 
 func (d *snapDecoder) magic(m string) error {
 	if len(d.b) < len(m) || string(d.b[:len(m)]) != m {
-		return fmt.Errorf("spe: not an operator snapshot (bad magic)")
+		return fmt.Errorf("%w: want %q", ErrBadMagic, strings.TrimSuffix(m, "\n"))
 	}
 	d.b = d.b[len(m):]
 	return nil

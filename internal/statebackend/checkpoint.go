@@ -2,39 +2,35 @@ package statebackend
 
 import "flowkv/internal/core"
 
-// Checkpointer is the optional backend capability jobs require: a
+// DeltaCheckpointer is the optional backend capability jobs require: a
 // crash-consistent snapshot of the backend's durable state into a
 // directory, carrying opaque application metadata (operator control
 // state, source offsets) that commits atomically with the store cut.
 // Only the FlowKV backend implements it today; jobs fail stages whose
 // backends do not.
-type Checkpointer interface {
-	// CheckpointMeta writes a verified snapshot of the backend into dir
-	// along with meta; the snapshot commits atomically (a crash leaves
-	// either the previous checkpoint or the new one, never a blend).
+type DeltaCheckpointer interface {
+	// CheckpointMeta writes a full snapshot of the backend into dir
+	// along with meta: CheckpointDeltaMeta with no parent.
 	CheckpointMeta(dir string, meta []byte) error
+	// CheckpointDeltaMeta writes a verified snapshot of the backend into
+	// dir along with meta, priced against the checkpoint at parent:
+	// bytes the parent already persisted are hard-linked rather than
+	// rewritten, and the per-barrier fsyncs collapse into one
+	// group-commit window. An empty parent (or an unusable one — the
+	// fallback is always to full data) writes a full base. The snapshot
+	// commits atomically (a crash leaves either the previous checkpoint
+	// or the new one, never a blend) and stays physically
+	// self-contained.
+	CheckpointDeltaMeta(dir, parent string, meta []byte) error
 	// RestoreMeta rebuilds the backend from a checkpoint directory and
 	// returns the metadata it was taken with. The backend must be
 	// freshly opened and empty.
 	RestoreMeta(dir string) ([]byte, error)
 }
 
-// DeltaCheckpointer is the incremental refinement of Checkpointer: the
-// snapshot into dir is priced against the checkpoint at parent — bytes
-// the parent already persisted are hard-linked rather than rewritten,
-// and the per-barrier fsyncs collapse into one group-commit window. An
-// empty parent (or an unusable one — the fallback is always to full
-// data) writes a full base. The resulting directory remains physically
-// self-contained and restores through plain RestoreMeta.
-type DeltaCheckpointer interface {
-	Checkpointer
-	// CheckpointDeltaMeta is CheckpointMeta diffed against parent.
-	CheckpointDeltaMeta(dir, parent string, meta []byte) error
-}
-
-// CheckpointMeta implements Checkpointer over core.Store.
+// CheckpointMeta implements DeltaCheckpointer over core.Store.
 func (b *flowkvBackend) CheckpointMeta(dir string, meta []byte) error {
-	return b.store.CheckpointWithMeta(dir, meta)
+	return b.store.CheckpointDelta(dir, "", meta)
 }
 
 // CheckpointDeltaMeta implements DeltaCheckpointer over core.Store.
@@ -42,29 +38,13 @@ func (b *flowkvBackend) CheckpointDeltaMeta(dir, parent string, meta []byte) err
 	return b.store.CheckpointDelta(dir, parent, meta)
 }
 
-// RestoreMeta implements Checkpointer over core.Store.
+// RestoreMeta implements DeltaCheckpointer over core.Store.
 func (b *flowkvBackend) RestoreMeta(dir string) ([]byte, error) {
 	return b.store.RestoreWithMeta(dir)
 }
 
-// AsCheckpointer extracts the checkpoint capability from a backend,
+// AsDeltaCheckpointer extracts the checkpoint capability from a backend,
 // looking through wrappers (Synchronized, shared-stage worker views).
-func AsCheckpointer(b Backend) (Checkpointer, bool) {
-	for {
-		if c, ok := b.(Checkpointer); ok {
-			return c, true
-		}
-		u, ok := b.(Unwrapper)
-		if !ok {
-			return nil, false
-		}
-		b = u.Unwrap()
-	}
-}
-
-// AsDeltaCheckpointer extracts the incremental-checkpoint capability,
-// looking through wrappers like AsCheckpointer. Callers holding only a
-// Checkpointer fall back to full snapshots.
 func AsDeltaCheckpointer(b Backend) (DeltaCheckpointer, bool) {
 	for {
 		if c, ok := b.(DeltaCheckpointer); ok {
