@@ -5,6 +5,10 @@
 // All stores (FlowKV's AAR/AUR/RMW stores, the LSM baseline, and the
 // hash-log baseline) serialize through this package so that on-disk
 // corruption handling and framing behave identically across systems.
+// There is one record frame: live logs, checkpoint manifests and
+// segment lists, delta streams, job records, the migration journal and
+// the sink ledger all write and read it through AppendRecord,
+// ReadRecord, RecordWriter and RecordScanner.
 package binio
 
 import (
@@ -123,41 +127,19 @@ func String(b []byte) (string, int, error) {
 	return string(p), n, nil
 }
 
-// Record framing. Two frame versions exist:
+// Record framing. Every record on disk uses one frame:
 //
-//	v0 (legacy):  crc32c(uint32 LE) | length(uvarint) | payload
-//	v1:           marker(0xF7)      | crc32c(uint32 LE) | length(uvarint) | payload
+//	marker(0xF7) | crc32c(uvarint(len) ‖ payload) as uint32 LE | uvarint(len) | payload
 //
-// In v0 the CRC covers the payload alone. That leaves a silent-corruption
-// hole: a page of zeroes decodes as an endless stream of valid empty
-// records (crc=0, len=0, Checksum(nil)=0), so a zeroed block in the middle
-// of a log is served as data instead of detected. v1 closes it twice over:
-// every frame starts with a nonzero marker byte, and the CRC covers the
-// length bytes as well as the payload, so neither a zeroed page nor a
-// flipped length byte can survive verification. Writers always emit v1;
-// v0 remains readable for files written before the version bump. A file is
-// homogeneous — its version is decided at creation (or sniffed at open)
-// and every record in it uses that frame.
-//
-// Both frames allow a reader to detect torn tails after a crash and stop
-// at the first bad record, the standard recovery discipline for
-// append-only logs.
+// The nonzero marker means a zeroed page can never decode as a record, and
+// the CRC covers the length bytes as well as the payload, so neither a
+// flipped length byte nor rot in the payload survives verification. A
+// reader detects a torn tail after a crash and stops at the first bad
+// record, the standard recovery discipline for append-only logs. Files in
+// an older frame are refused as corrupt, not decoded by a second codec.
 
-// FrameVersion selects the record frame layout of a file.
-type FrameVersion uint8
-
-const (
-	// FrameV0 is the legacy frame: CRC over the payload only, no marker.
-	FrameV0 FrameVersion = 0
-	// FrameV1 is the current frame: a leading marker byte plus a CRC over
-	// the length bytes and the payload.
-	FrameV1 FrameVersion = 1
-)
-
-// FrameMarker is the first byte of every v1 frame. It is deliberately
-// nonzero (a zeroed page can never start a valid v1 record) and an
-// unlikely first byte for a v0 frame (it would have to be the low byte of
-// the first record's CRC).
+// FrameMarker is the first byte of every frame. It is deliberately nonzero:
+// a zeroed page can never start a valid record.
 const FrameMarker = 0xF7
 
 // FrameError describes a frame that failed verification, carrying the
@@ -180,79 +162,25 @@ func (e *FrameError) Error() string {
 
 func (e *FrameError) Unwrap() error { return ErrCorrupt }
 
-// AppendRecord appends a legacy (v0) framed record holding payload to dst.
-// It remains in use for self-describing metadata blobs (manifests,
-// SEGMENTS files) whose encodings carry their own magic; log files use
-// AppendRecordV with the file's frame version.
+// AppendRecord appends a framed, checksummed record holding payload to
+// dst. The length is written in place and the CRC patched in afterwards,
+// one pass over the contiguous length and payload bytes, so the encoder
+// allocates nothing beyond growing dst.
 func AppendRecord(dst, payload []byte) []byte {
-	dst = PutUint32(dst, Checksum(payload))
-	dst = PutUvarint(dst, uint64(len(payload)))
-	return append(dst, payload...)
+	dst = append(dst, FrameMarker, 0, 0, 0, 0)
+	crcAt := len(dst) - 4
+	dst = binary.AppendUvarint(dst, uint64(len(payload)))
+	dst = append(dst, payload...)
+	binary.LittleEndian.PutUint32(dst[crcAt:], Checksum(dst[crcAt+4:]))
+	return dst
 }
 
-// AppendRecordV appends a framed, checksummed record in the given frame
-// version.
-func AppendRecordV(dst, payload []byte, v FrameVersion) []byte {
-	if v == FrameV0 {
-		return AppendRecord(dst, payload)
-	}
-	dst = append(dst, FrameMarker)
-	var lenb [binary.MaxVarintLen64]byte
-	ln := binary.PutUvarint(lenb[:], uint64(len(payload)))
-	crc := ChecksumUpdate(Checksum(lenb[:ln]), payload)
-	dst = PutUint32(dst, crc)
-	dst = append(dst, lenb[:ln]...)
-	return append(dst, payload...)
-}
-
-// RecordOverhead returns the legacy (v0) framing overhead in bytes for a
-// payload of length n.
-func RecordOverhead(n int) int {
-	var tmp [binary.MaxVarintLen64]byte
-	return 4 + binary.PutUvarint(tmp[:], uint64(n))
-}
-
-// RecordOverheadV returns the framing overhead in bytes for a payload of
-// length n in the given frame version.
-func RecordOverheadV(n int, v FrameVersion) int {
-	if v == FrameV0 {
-		return RecordOverhead(n)
-	}
-	return 1 + RecordOverhead(n)
-}
-
-// ReadRecord decodes one legacy (v0) framed record from the front of b. It
-// returns the payload (aliasing b) and the total number of bytes consumed.
-// A checksum mismatch yields ErrCorrupt; a truncated frame yields
-// ErrShortBuffer.
+// ReadRecord decodes one framed record from the front of b. It returns the
+// payload (aliasing b) and the total number of bytes consumed. Corruption
+// yields a *FrameError (errors.Is ErrCorrupt) carrying the expected-vs-got
+// checksums; a truncated frame yields ErrShortBuffer so scanners can
+// distinguish a torn tail from rot.
 func ReadRecord(b []byte) ([]byte, int, error) {
-	crc, err := Uint32(b)
-	if err != nil {
-		return nil, 0, err
-	}
-	n, sz, err := Uvarint(b[4:])
-	if err != nil {
-		return nil, 0, err
-	}
-	head := 4 + sz
-	if uint64(len(b)-head) < n {
-		return nil, 0, ErrShortBuffer
-	}
-	payload := b[head : head+int(n)]
-	if Checksum(payload) != crc {
-		return nil, 0, ErrCorrupt
-	}
-	return payload, head + int(n), nil
-}
-
-// ReadRecordV decodes one framed record in the given frame version from
-// the front of b. Corruption yields a *FrameError (errors.Is ErrCorrupt)
-// carrying the expected-vs-got checksums; a truncated frame yields
-// ErrShortBuffer so scanners can distinguish a torn tail from rot.
-func ReadRecordV(b []byte, v FrameVersion) ([]byte, int, error) {
-	if v == FrameV0 {
-		return ReadRecord(b)
-	}
 	if len(b) < 1 {
 		return nil, 0, ErrShortBuffer
 	}
@@ -271,29 +199,12 @@ func ReadRecordV(b []byte, v FrameVersion) ([]byte, int, error) {
 	if uint64(len(b)-head) < n {
 		return nil, 0, ErrShortBuffer
 	}
-	payload := b[head : head+int(n)]
 	// The length bytes and payload are contiguous, so the CRC over
-	// (len || payload) is a single pass — two Checksum calls cost ~25%
-	// extra on small records from per-call setup.
-	got := Checksum(b[5 : head+int(n)])
-	if got != crc {
+	// (len || payload) is a single pass.
+	if got := Checksum(b[5 : head+int(n)]); got != crc {
 		return nil, 0, &FrameError{Reason: "crc mismatch", Want: crc, Got: got}
 	}
-	return payload, head + int(n), nil
-}
-
-// SniffFrameVersion guesses the frame version of a file from its first
-// bytes. An empty prefix (new or empty file) reports v1, the version
-// writers emit; a leading FrameMarker reports v1; anything else is a
-// legacy v0 file. The guess can be wrong for a v0 file whose first CRC
-// byte happens to equal the marker (≈1/256 of legacy files); callers that
-// recover real files (logfile open) fall back to a v0 scan when the v1
-// read yields nothing.
-func SniffFrameVersion(prefix []byte) FrameVersion {
-	if len(prefix) == 0 || prefix[0] == FrameMarker {
-		return FrameV1
-	}
-	return FrameV0
+	return b[head : head+int(n)], head + int(n), nil
 }
 
 // RecordWriter streams framed records to an io.Writer, tracking the byte
@@ -301,20 +212,12 @@ func SniffFrameVersion(prefix []byte) FrameVersion {
 type RecordWriter struct {
 	w   io.Writer
 	off int64
-	ver FrameVersion
 	buf []byte
 }
 
-// NewRecordWriter returns a legacy (v0) RecordWriter positioned at offset
-// off of w.
+// NewRecordWriter returns a RecordWriter positioned at offset off of w.
 func NewRecordWriter(w io.Writer, off int64) *RecordWriter {
-	return NewRecordWriterV(w, off, FrameV0)
-}
-
-// NewRecordWriterV returns a RecordWriter emitting frames of version v,
-// positioned at offset off of w.
-func NewRecordWriterV(w io.Writer, off int64, v FrameVersion) *RecordWriter {
-	return &RecordWriter{w: w, off: off, ver: v}
+	return &RecordWriter{w: w, off: off}
 }
 
 // Offset returns the file offset at which the next record will begin.
@@ -323,7 +226,7 @@ func (rw *RecordWriter) Offset() int64 { return rw.off }
 // Write appends one framed record and returns the offset at which it was
 // written and its total on-disk length.
 func (rw *RecordWriter) Write(payload []byte) (off int64, n int, err error) {
-	rw.buf = AppendRecordV(rw.buf[:0], payload, rw.ver)
+	rw.buf = AppendRecord(rw.buf[:0], payload)
 	off = rw.off
 	if _, err = rw.w.Write(rw.buf); err != nil {
 		return 0, 0, fmt.Errorf("binio: write record: %w", err)
@@ -340,34 +243,15 @@ type RecordScanner struct {
 	start  int
 	end    int
 	off    int64
-	ver    FrameVersion
-	sniff  bool
 	err    error
 	record []byte
 }
 
-// NewRecordScanner returns a scanner reading legacy (v0) framed records
-// from r, treating the first byte of r as file offset base.
-func NewRecordScanner(r io.Reader, base int64) *RecordScanner {
-	return NewRecordScannerV(r, base, FrameV0)
-}
-
-// NewRecordScannerV returns a scanner reading frames of version v from r,
+// NewRecordScanner returns a scanner reading framed records from r,
 // treating the first byte of r as file offset base.
-func NewRecordScannerV(r io.Reader, base int64, v FrameVersion) *RecordScanner {
-	return &RecordScanner{r: r, buf: make([]byte, 64*1024), off: base, ver: v}
+func NewRecordScanner(r io.Reader, base int64) *RecordScanner {
+	return &RecordScanner{r: r, buf: make([]byte, 64*1024), off: base}
 }
-
-// NewRecordScannerSniff returns a scanner that decides the frame version
-// from the first byte of the stream (SniffFrameVersion). base must be the
-// start of the file for the sniff to be meaningful.
-func NewRecordScannerSniff(r io.Reader, base int64) *RecordScanner {
-	return &RecordScanner{r: r, buf: make([]byte, 64*1024), off: base, sniff: true}
-}
-
-// Version returns the scanner's frame version. For a sniffing scanner the
-// value is meaningful only after the first Scan call.
-func (s *RecordScanner) Version() FrameVersion { return s.ver }
 
 // Scan advances to the next record, reporting false at EOF or error.
 func (s *RecordScanner) Scan() bool {
@@ -375,11 +259,7 @@ func (s *RecordScanner) Scan() bool {
 		return false
 	}
 	for {
-		if s.sniff && s.end > s.start {
-			s.ver = SniffFrameVersion(s.buf[s.start:s.end])
-			s.sniff = false
-		}
-		payload, n, err := ReadRecordV(s.buf[s.start:s.end], s.ver)
+		payload, n, err := ReadRecord(s.buf[s.start:s.end])
 		if err == nil {
 			s.record = payload
 			s.start += n
@@ -387,12 +267,12 @@ func (s *RecordScanner) Scan() bool {
 			return true
 		}
 		if errors.Is(err, ErrCorrupt) {
-			// A v1 frame can never start with a zero byte, so an all-zero
+			// A frame can never start with a zero byte, so an all-zero
 			// remainder is the classic crash artifact — file size updated,
 			// data blocks never flushed — and recovery treats it as a torn
 			// tail. Any nonzero garbage (here or later in the stream) is
 			// rot, not a tear, and stays a typed corruption.
-			if s.ver == FrameV1 && s.restIsZero() {
+			if s.restIsZero() {
 				s.err = io.ErrUnexpectedEOF
 				return false
 			}

@@ -2,6 +2,8 @@ package binio
 
 import (
 	"bytes"
+	"encoding/hex"
+	"errors"
 	"io"
 	"math"
 	"testing"
@@ -98,21 +100,45 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRecordOverheadMatchesAppend(t *testing.T) {
-	for _, n := range []int{0, 1, 100, 1 << 20} {
-		p := make([]byte, n)
-		got := len(AppendRecord(nil, p)) - n
-		if got != RecordOverhead(n) {
-			t.Errorf("RecordOverhead(%d) = %d, actual framing %d", n, RecordOverhead(n), got)
+func TestRecordCorruption(t *testing.T) {
+	buf := AppendRecord(nil, []byte("hello world"))
+	buf[len(buf)-1] ^= 0xff
+	_, _, err := ReadRecord(buf)
+	var fe *FrameError
+	if !errors.Is(err, ErrCorrupt) || !errors.As(err, &fe) {
+		t.Errorf("corrupted record: got %v want a *FrameError matching ErrCorrupt", err)
+	}
+}
+
+// TestRecordGoldenBytes pins the frame's exact bytes: logs written before
+// the codec was rewritten must stay readable.
+func TestRecordGoldenBytes(t *testing.T) {
+	for _, c := range []struct {
+		payload []byte
+		want    string
+	}{
+		{[]byte("hello"), "f79dedecd50568656c6c6f"},
+		{nil, "f751537d5200"},
+	} {
+		got := AppendRecord(nil, c.payload)
+		if hex.EncodeToString(got) != c.want {
+			t.Errorf("AppendRecord(%q) = %x, want %s", c.payload, got, c.want)
+		}
+		p, n, err := ReadRecord(got)
+		if err != nil || n != len(got) || !bytes.Equal(p, c.payload) {
+			t.Errorf("ReadRecord(%x) = %q, %d, %v", got, p, n, err)
 		}
 	}
 }
 
-func TestRecordCorruption(t *testing.T) {
-	buf := AppendRecord(nil, []byte("hello world"))
-	buf[len(buf)-1] ^= 0xff
-	if _, _, err := ReadRecord(buf); err != ErrCorrupt {
-		t.Errorf("corrupted record: got %v want ErrCorrupt", err)
+func TestAppendRecordDoesNotAllocate(t *testing.T) {
+	payload := bytes.Repeat([]byte("v"), 84)
+	dst := make([]byte, 0, 256)
+	allocs := testing.AllocsPerRun(1000, func() {
+		dst = AppendRecord(dst[:0], payload)
+	})
+	if allocs != 0 {
+		t.Errorf("AppendRecord into a pre-sized dst: %v allocs/op, want 0", allocs)
 	}
 }
 
@@ -134,7 +160,7 @@ func TestRecordWriterScanner(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Write: %v", err)
 		}
-		if n != len(p)+RecordOverhead(len(p)) {
+		if n != len(AppendRecord(nil, p)) {
 			t.Fatalf("record %d: reported len %d", i, n)
 		}
 		offs = append(offs, off)
@@ -152,7 +178,7 @@ func TestRecordWriterScanner(t *testing.T) {
 		if !bytes.Equal(sc.Record(), want) {
 			t.Errorf("record %d mismatch", i)
 		}
-		wantEnd := offs[i] + int64(len(want)+RecordOverhead(len(want)))
+		wantEnd := offs[i] + int64(len(AppendRecord(nil, want)))
 		if sc.Offset() != wantEnd {
 			t.Errorf("record %d: scanner offset %d want %d", i, sc.Offset(), wantEnd)
 		}
@@ -264,52 +290,6 @@ func BenchmarkAppendRecord(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		buf = AppendRecord(buf[:0], payload)
-	}
-}
-
-// BenchmarkScanRecordsFramed compares sequential scan cost across
-// frame versions: legacy v0, marker-prefixed v1, and the sniffing
-// scanner that accepts both. The v1 marker costs one byte and one
-// compare per record; the framing bump's acceptance bound is <= 5%
-// read overhead over v0.
-func BenchmarkScanRecordsFramed(b *testing.B) {
-	payload := bytes.Repeat([]byte("v"), 84)
-	for _, bench := range []struct {
-		name  string
-		ver   FrameVersion
-		sniff bool
-	}{
-		{"v0", FrameV0, false},
-		{"v1", FrameV1, false},
-		{"sniff-v1", FrameV1, true},
-	} {
-		var file bytes.Buffer
-		rw := NewRecordWriterV(&file, 0, bench.ver)
-		for i := 0; i < 10000; i++ {
-			if _, _, err := rw.Write(payload); err != nil {
-				b.Fatal(err)
-			}
-		}
-		data := file.Bytes()
-		b.Run(bench.name, func(b *testing.B) {
-			b.SetBytes(int64(len(data)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				var sc *RecordScanner
-				if bench.sniff {
-					sc = NewRecordScannerSniff(bytes.NewReader(data), 0)
-				} else {
-					sc = NewRecordScannerV(bytes.NewReader(data), 0, bench.ver)
-				}
-				n := 0
-				for sc.Scan() {
-					n++
-				}
-				if err := sc.Err(); err != nil || n != 10000 {
-					b.Fatalf("records %d, err %v", n, err)
-				}
-			}
-		})
 	}
 }
 

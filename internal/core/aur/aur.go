@@ -981,7 +981,6 @@ func (s *Store) loadSpansLocked(selected []*liveEntry, target id) ([][]byte, err
 		i = j + 1
 	}
 
-	frameVer := s.dataLog.Version()
 	loadRun := func(r loadRun, read func(off int64, n int) ([]byte, error)) error {
 		raw, err := read(r.base, int(r.end-r.base))
 		if err != nil {
@@ -990,7 +989,7 @@ func (s *Store) loadSpansLocked(selected []*liveEntry, target id) ([][]byte, err
 		for k := r.lo; k <= r.hi; k++ {
 			t := tasks[k]
 			rec := raw[t.sp.off-r.base : t.sp.off-r.base+int64(t.sp.n)]
-			payload, used, err := binio.ReadRecordV(rec, frameVer)
+			payload, used, err := binio.ReadRecord(rec)
 			if err != nil {
 				return fmt.Errorf("aur: data record at %d: %w", t.sp.off, err)
 			}

@@ -266,3 +266,47 @@ func TestRestoreRejectsFlatLayout(t *testing.T) {
 		})
 	}
 }
+
+// TestRestoreRefusesLegacyFramedManifest re-frames a real checkpoint's
+// MANIFEST records in the older, marker-less record layout
+// (crc32c(payload) LE | uvarint len | payload). There is one record
+// frame, so Restore must refuse the checkpoint as invalid and leave the
+// store empty.
+func TestRestoreRefusesLegacyFramedManifest(t *testing.T) {
+	opts := Options{Instances: 1}
+	w := window.Window{Start: 0, End: 100}
+	src := openStore(t, AggIncremental, window.Fixed, opts)
+	if err := src.PutAggregate([]byte("k"), w, []byte("agg")); err != nil {
+		t.Fatal(err)
+	}
+	ck := filepath.Join(t.TempDir(), "ckpt")
+	if err := src.Checkpoint(ck); err != nil {
+		t.Fatal(err)
+	}
+	mfPath := filepath.Join(ck, manifestName)
+	mf, err := os.ReadFile(mfPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var legacy []byte
+	for len(mf) > 0 {
+		p, n, err := binio.ReadRecord(mf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		legacy = binio.PutUint32(legacy, binio.Checksum(p))
+		legacy = binio.PutUvarint(legacy, uint64(len(p)))
+		legacy = append(legacy, p...)
+		mf = mf[n:]
+	}
+	if err := os.WriteFile(mfPath, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dst := openStore(t, AggIncremental, window.Fixed, opts)
+	if err := dst.Restore(ck); !errors.Is(err, ErrCheckpointInvalid) {
+		t.Fatalf("legacy-framed MANIFEST: err = %v, want ErrCheckpointInvalid", err)
+	}
+	if st := dst.Stats(); st.LiveStates != 0 {
+		t.Fatalf("refused restore left %d live states", st.LiveStates)
+	}
+}

@@ -302,7 +302,7 @@ func (s *Store) quarantineScrubbed(dir string, verr error, rep *ScrubReport) {
 // file. It returns -1 when the frames scan cleanly (the mismatch lies in
 // non-framed bytes) or the file is not frame-structured.
 func firstCorruptFrame(b []byte) int64 {
-	sc := binio.NewRecordScannerSniff(bytes.NewReader(b), 0)
+	sc := binio.NewRecordScanner(bytes.NewReader(b), 0)
 	for sc.Scan() {
 	}
 	if err := sc.Err(); err != nil && errors.Is(err, binio.ErrCorrupt) {

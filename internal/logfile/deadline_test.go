@@ -3,6 +3,7 @@ package logfile
 import (
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -51,7 +52,13 @@ func (m *recordingMonitor) counts() (ops, stalls map[MonKind]int) {
 // unsynced tail records.
 func deadlineLog(t *testing.T, synced, unsynced int) (*Log, *faultfs.Injector, []string) {
 	t.Helper()
-	inj := faultfs.NewInjector(faultfs.OS)
+	return deadlineLogOver(t, faultfs.OS, synced, unsynced)
+}
+
+// deadlineLogOver is deadlineLog with the injector over base.
+func deadlineLogOver(t *testing.T, base faultfs.FS, synced, unsynced int) (*Log, *faultfs.Injector, []string) {
+	t.Helper()
+	inj := faultfs.NewInjector(base)
 	l, err := CreateFS(inj, filepath.Join(t.TempDir(), "d.log"), nil)
 	if err != nil {
 		t.Fatalf("create: %v", err)
@@ -76,6 +83,32 @@ func deadlineLog(t *testing.T, synced, unsynced int) (*Log, *faultfs.Injector, [
 		want = append(want, rec)
 	}
 	return l, inj, want
+}
+
+// syncFreeFS is a base FS whose files fsync for free, so a test that
+// holds a real sync to a wall-clock deadline times the deadline logic
+// rather than the device's flush latency, which on a busy disk can
+// exceed the deadline itself.
+type syncFreeFS struct{ faultfs.FS }
+
+type syncFreeFile struct{ faultfs.File }
+
+func (syncFreeFile) Sync() error { return nil }
+
+func (s syncFreeFS) Create(path string) (faultfs.File, error) {
+	f, err := s.FS.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	return syncFreeFile{f}, nil
+}
+
+func (s syncFreeFS) OpenFile(path string, flag int, perm os.FileMode) (faultfs.File, error) {
+	f, err := s.FS.OpenFile(path, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return syncFreeFile{f}, nil
 }
 
 func scanAll(t *testing.T, l *Log) []string {
@@ -106,7 +139,9 @@ func waitParked(t *testing.T, inj *faultfs.Injector) {
 }
 
 func TestDeadlineHungSyncPoisonsAndRecovers(t *testing.T) {
-	l, inj, want := deadlineLog(t, 5, 3)
+	// The sync after reopen runs under the 20 ms deadline; over a
+	// sync-free base it measures the guard, not the disk.
+	l, inj, want := deadlineLogOver(t, syncFreeFS{faultfs.OS}, 5, 3)
 	mon := newRecordingMonitor()
 	l.SetPolicy(&Policy{Deadline: 20 * time.Millisecond, Monitor: mon})
 	defer inj.Release()

@@ -101,7 +101,6 @@ type Log struct {
 	w      *bufio.Writer
 	rw     *binio.RecordWriter
 	bd     *metrics.Breakdown
-	ver    binio.FrameVersion
 	closed bool
 
 	durable int64  // offset covered by the last successful Sync
@@ -119,14 +118,13 @@ func Create(path string, bd *metrics.Breakdown) (*Log, error) {
 }
 
 // CreateFS is Create against an explicit filesystem, the seam used by
-// fault-injection tests. New logs always use the current (v1) record
-// frame.
+// fault-injection tests.
 func CreateFS(fsys faultfs.FS, path string, bd *metrics.Breakdown) (*Log, error) {
 	f, err := fsys.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("logfile: create: %w", err)
 	}
-	return newLog(fsys, path, f, 0, binio.FrameV1, bd), nil
+	return newLog(fsys, path, f, 0, bd), nil
 }
 
 // Open opens an existing log for appending; new records go after any valid
@@ -135,16 +133,15 @@ func Open(path string, bd *metrics.Breakdown) (*Log, error) {
 	return OpenFS(faultfs.OS, path, bd)
 }
 
-// OpenFS is Open against an explicit filesystem. The file's frame version
-// is sniffed from its first byte — new and current files use the v1 frame,
-// files written before the version bump keep the legacy v0 frame for both
-// reads and appends (per-file homogeneity: a file never mixes frames).
+// OpenFS is Open against an explicit filesystem. A file in an older,
+// marker-less frame layout fails the open with a typed CorruptError at
+// offset 0 and is left untouched.
 func OpenFS(fsys faultfs.FS, path string, bd *metrics.Breakdown) (*Log, error) {
 	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("logfile: open: %w", err)
 	}
-	end, ver, err := recoverEnd(path, f)
+	end, err := recoverEnd(path, f)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -157,62 +154,38 @@ func OpenFS(fsys faultfs.FS, path string, bd *metrics.Breakdown) (*Log, error) {
 		f.Close()
 		return nil, fmt.Errorf("logfile: seek: %w", err)
 	}
-	return newLog(fsys, path, f, end, ver, bd), nil
+	return newLog(fsys, path, f, end, bd), nil
 }
 
 // recoverEnd scans f and returns the offset one past its last valid
-// record plus the file's sniffed frame version. Corruption before the
-// final record (a torn tail is fine; mid-file rot is not) fails the open
-// with a typed CorruptError, so a store never resumes over bytes it
-// cannot vouch for.
-func recoverEnd(path string, f faultfs.File) (int64, binio.FrameVersion, error) {
+// record. Corruption before the final record (a torn tail is fine;
+// mid-file rot is not) fails the open with a typed CorruptError, so a
+// store never resumes over bytes it cannot vouch for.
+func recoverEnd(path string, f faultfs.File) (int64, error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	sc := binio.NewRecordScannerSniff(bufio.NewReaderSize(f, 256*1024), 0)
-	records := 0
+	sc := binio.NewRecordScanner(bufio.NewReaderSize(f, 256*1024), 0)
 	for sc.Scan() {
-		records++
 	}
-	ver := sc.Version()
 	if err := sc.Err(); err != nil {
-		// A legacy v0 file can begin with the v1 marker byte when the low
-		// byte of its first record's CRC happens to equal it (~1/256 of
-		// legacy files). If the sniffed v1 scan found nothing valid, retry
-		// the whole file as v0 before declaring it corrupt.
-		if ver == binio.FrameV1 && records == 0 {
-			if _, serr := f.Seek(0, io.SeekStart); serr == nil {
-				sc0 := binio.NewRecordScanner(bufio.NewReaderSize(f, 256*1024), 0)
-				n0 := 0
-				for sc0.Scan() {
-					n0++
-				}
-				if sc0.Err() == nil && n0 > 0 {
-					return sc0.Offset(), binio.FrameV0, nil
-				}
-			}
-		}
-		return 0, 0, fmt.Errorf("logfile: recover: %w", corruptErr(path, sc.Offset(), err))
+		return 0, fmt.Errorf("logfile: recover: %w", corruptErr(path, sc.Offset(), err))
 	}
-	return sc.Offset(), ver, nil
+	return sc.Offset(), nil
 }
 
-func newLog(fsys faultfs.FS, path string, f faultfs.File, off int64, ver binio.FrameVersion, bd *metrics.Breakdown) *Log {
+func newLog(fsys faultfs.FS, path string, f faultfs.File, off int64, bd *metrics.Breakdown) *Log {
 	// Bytes present at open are on disk already; treat them as the
 	// durable baseline a reopen may truncate back to.
-	l := &Log{fs: fsys, path: path, bd: bd, ver: ver, durable: off, tailOK: true}
+	l := &Log{fs: fsys, path: path, bd: bd, durable: off, tailOK: true}
 	// Every descriptor is wrapped in the policy guard so deadlines and
 	// latency observation apply uniformly; with no policy installed the
 	// guard is a passthrough.
 	l.f = &guard{lg: l, f: f}
 	l.w = bufio.NewWriterSize(l.f, 256*1024)
-	l.rw = binio.NewRecordWriterV(l.w, off, ver)
+	l.rw = binio.NewRecordWriter(l.w, off)
 	return l
 }
-
-// Version returns the log's frame version. Callers that decode raw byte
-// ranges themselves (ReadRangeAt / ReadRangeAtRaw) must decode with it.
-func (l *Log) Version() binio.FrameVersion { return l.ver }
 
 // Path returns the file path of the log.
 func (l *Log) Path() string { return l.path }
@@ -272,7 +245,7 @@ func (l *Log) Append(payload []byte) (off int64, n int, err error) {
 		return 0, 0, err
 	}
 	if l.tailOK {
-		l.tail = binio.AppendRecordV(l.tail, payload, l.ver)
+		l.tail = binio.AppendRecord(l.tail, payload)
 		if len(l.tail) > MaxTailBytes {
 			l.tail = nil
 			l.tailOK = false
@@ -441,7 +414,7 @@ func (l *Log) ReopenAtDurable() error {
 	}
 	l.f = g
 	l.w = w
-	l.rw = binio.NewRecordWriterV(w, l.durable+int64(len(l.tail)), l.ver)
+	l.rw = binio.NewRecordWriter(w, l.durable+int64(len(l.tail)))
 	l.perr = nil
 	return nil
 }
@@ -509,7 +482,7 @@ func (l *Log) preadStitched(buf []byte, off int64) error {
 // valid-looking shorter frame at that offset means the read was stale or
 // misdirected, which is corruption, not a decode quirk.
 func (l *Log) decodeRecord(buf []byte, off int64) ([]byte, error) {
-	payload, used, err := binio.ReadRecordV(buf, l.ver)
+	payload, used, err := binio.ReadRecord(buf)
 	if err != nil {
 		return nil, corruptErr(l.path, off, err)
 	}
@@ -597,7 +570,7 @@ func (l *Log) Scanner(base int64) (*Scanner, error) {
 	if l.perr == nil && l.flush() == nil {
 		sr := io.NewSectionReader(l.f, base, l.Size()-base)
 		return &Scanner{
-			sc:   binio.NewRecordScannerV(bufio.NewReaderSize(sr, 256*1024), base, l.ver),
+			sc:   binio.NewRecordScanner(bufio.NewReaderSize(sr, 256*1024), base),
 			path: l.path,
 			bd:   l.bd,
 		}, nil
@@ -620,7 +593,7 @@ func (l *Log) Scanner(base int64) (*Scanner, error) {
 		parts = append(parts, bytes.NewReader(l.tail[tstart:]))
 	}
 	return &Scanner{
-		sc:   binio.NewRecordScannerV(bufio.NewReaderSize(io.MultiReader(parts...), 256*1024), base, l.ver),
+		sc:   binio.NewRecordScanner(bufio.NewReaderSize(io.MultiReader(parts...), 256*1024), base),
 		path: l.path,
 		bd:   l.bd,
 	}, nil
@@ -633,17 +606,6 @@ func (l *Log) Scanner(base int64) (*Scanner, error) {
 func (l *Log) TransferTo(dst *Log, off int64, n int64) error {
 	if l.closed || dst.closed {
 		return ErrClosed
-	}
-	// The frames are copied verbatim, so the destination must speak the
-	// source's frame version. A fresh (empty) destination simply adopts
-	// it; a non-empty one with a different version would become a mixed
-	// file no reader could verify.
-	if dst.ver != l.ver {
-		if dst.rw.Offset() != 0 {
-			return fmt.Errorf("logfile: transfer: frame version mismatch (src v%d, dst v%d)", l.ver, dst.ver)
-		}
-		dst.ver = l.ver
-		dst.rw = binio.NewRecordWriterV(dst.w, 0, l.ver)
 	}
 	if err := l.flush(); err != nil {
 		return err
@@ -669,7 +631,7 @@ func (l *Log) TransferTo(dst *Log, off int64, n int64) error {
 	// record writer's logical offset in step. The transferred bytes are
 	// not captured in dst's tail, so dst stops retaining one until its
 	// next successful Sync re-establishes a durable baseline.
-	dst.rw = binio.NewRecordWriterV(dst.w, dst.rw.Offset()+n, dst.ver)
+	dst.rw = binio.NewRecordWriter(dst.w, dst.rw.Offset()+n)
 	if n > 0 {
 		dst.tail = nil
 		dst.tailOK = false

@@ -2,6 +2,7 @@ package logfile
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -98,11 +99,11 @@ func TestReadRangeAtCoversAdjacentRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p0, used, err := binio.ReadRecordV(raw, l.Version())
+	p0, used, err := binio.ReadRecord(raw)
 	if err != nil || string(p0) != "first" {
 		t.Fatalf("first record: %q %v", p0, err)
 	}
-	p1, _, err := binio.ReadRecordV(raw[used:], l.Version())
+	p1, _, err := binio.ReadRecord(raw[used:])
 	if err != nil || string(p1) != "second" {
 		t.Fatalf("second record: %q %v", p1, err)
 	}
@@ -123,7 +124,7 @@ func TestOpenRecoversTornTail(t *testing.T) {
 	}
 	// Append the prefix of a real frame, simulating a torn write (a crash
 	// cuts the stream mid-frame, so the tail is a valid-frame prefix).
-	full := binio.AppendRecordV(nil, []byte("torn-away-record"), binio.FrameV1)
+	full := binio.AppendRecord(nil, []byte("torn-away-record"))
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -154,6 +155,39 @@ func TestOpenRecoversTornTail(t *testing.T) {
 	}
 	if len(got) != 2 || got[0] != "keep-me" || got[1] != "after-recovery" {
 		t.Fatalf("recovered records = %v", got)
+	}
+}
+
+// TestOpenRefusesLegacyFrames hand-builds a log in the older, marker-less
+// frame layout (crc32c(payload) LE | uvarint len | payload). Open must
+// refuse it as corrupt at offset 0 and leave the file as it was, never
+// decode it or truncate it away as a torn tail.
+func TestOpenRefusesLegacyFrames(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "legacy.log")
+	var legacy []byte
+	for _, p := range []string{"one", "two"} {
+		legacy = binio.PutUint32(legacy, binio.Checksum([]byte(p)))
+		legacy = binio.PutUvarint(legacy, uint64(len(p)))
+		legacy = append(legacy, p...)
+	}
+	if err := os.WriteFile(path, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := Open(path, nil)
+	if err == nil {
+		l.Close()
+		t.Fatal("Open decoded a legacy-framed log")
+	}
+	var ce *CorruptError
+	if !errors.Is(err, ErrCorruptRecord) || !errors.As(err, &ce) || ce.Off != 0 {
+		t.Fatalf("Open: got %v, want a CorruptError at offset 0", err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != int64(len(legacy)) {
+		t.Fatalf("legacy log length after refused open: %d, want %d", fi.Size(), len(legacy))
 	}
 }
 

@@ -470,6 +470,28 @@ func TestOperatorSnapshotRoundTrip(t *testing.T) {
 
 // TestJobMetaRoundTrip covers the JOB file codec and its crash
 // atomicity guarantees at the unit level.
+// TestReadLedgerStopsAtZeroTail: a committed record followed by a block
+// of zeros (file size extended, data never flushed before a crash) is a
+// torn tail, so ReadLedger returns the committed record and no error.
+func TestReadLedgerStopsAtZeroTail(t *testing.T) {
+	dir := t.TempDir()
+	p := binio.PutVarint(nil, 42)
+	p = binio.PutBytes(p, []byte("key"))
+	p = binio.PutBytes(p, []byte("value"))
+	b := append(binio.AppendRecord(nil, p), make([]byte, 4096)...)
+	if err := os.WriteFile(filepath.Join(dir, ledgerName), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := ReadLedger(nil, dir)
+	if err != nil {
+		t.Fatalf("ReadLedger over a zero tail: %v", err)
+	}
+	want := []SinkRecord{{TS: 42, Key: []byte("key"), Value: []byte("value")}}
+	if !reflect.DeepEqual(recs, want) {
+		t.Fatalf("ReadLedger = %+v, want %+v", recs, want)
+	}
+}
+
 func TestJobMetaRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	m := JobMeta{Gen: 42, Final: true, Offset: 1234, TuplesIn: 5678, MaxTS: 99, SinceWM: 7, LedgerLen: 4096, StagePars: []int64{1, 3, 2}}

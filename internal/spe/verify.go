@@ -117,11 +117,13 @@ func verifyRouting(dir string, meta JobMeta) error {
 }
 
 // verifyLedger decodes the committed prefix of the sink ledger record by
-// record. Payloads are decoded too, not just frame CRCs: an all-zero rot
-// page happens to satisfy the legacy v0 framing (CRC32C of the empty
-// payload is zero), but an empty payload can never decode as a sink
-// record. Bytes past the committed length are an uncommitted suffix that
-// the next resume discards, so they are not verified.
+// record. Payloads are decoded too, not just frame CRCs: a valid frame
+// proves only that the bytes are what some writer framed, not that they
+// are sink records, so a framed file of another kind in the ledger's
+// place, or a record from a faulty encoder, is caught here rather than
+// by ReadLedger at consume time. Bytes past the committed length are an
+// uncommitted suffix that the next resume discards, so they are not
+// verified.
 func verifyLedger(fsys faultfs.FS, dir string, meta JobMeta) error {
 	b, err := fsys.ReadFile(filepath.Join(dir, ledgerName))
 	if errors.Is(err, fs.ErrNotExist) {
