@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -324,12 +323,13 @@ func cmdCheckpoints(parent string) error {
 
 // cmdJob inspects a job directory: the committed JOB record (generation,
 // source offset, committed ledger length), the key-range manifest
-// (per-stage parallelism at commit time), the generation directories on
-// disk, MANIFEST verification of every worker checkpoint in the
-// committed generation, and a committed-ledger summary. With a target
-// parallelism it additionally reports how a resume at that worker count
-// would restore each stage — direct, rescaled (key ranges split/merged),
-// or fanned out from a shared single-owner cut. This is the operator's
+// (per-stage parallelism at commit time, from the record's StagePars),
+// the generation directories on disk, MANIFEST verification of every
+// committed worker checkpoint, and a committed-ledger summary. A stage
+// whose committed generation holds no worker checkpoints is stateless.
+// With a target parallelism it additionally reports how a resume at
+// that worker count would restore each stateful stage — direct, or
+// rescaled (key ranges split/merged). This is the operator's
 // pre-restart check: if it passes, Resume will succeed.
 func cmdJob(dir string, target int) error {
 	meta, err := spe.ReadJobMeta(nil, dir)
@@ -356,50 +356,36 @@ func cmdJob(dir string, target int) error {
 		}
 	}
 
-	layout, err := spe.CommittedLayout(nil, dir, meta.Gen)
-	if err != nil {
-		return err
-	}
-	stages := make([]int, 0, len(layout))
-	for si := range layout {
-		stages = append(stages, si)
-	}
-	sort.Ints(stages)
-	fmt.Println("key-range manifest:")
-	for _, si := range stages {
-		cs := layout[si]
-		par := cs.Workers
-		if si < len(meta.StagePars) && meta.StagePars[si] > 0 {
-			par = int(meta.StagePars[si])
-		}
-		switch {
-		case cs.Shared:
-			fmt.Printf("  stage %2d: shared single-owner cut, %d operator snapshots\n", si, par)
-		default:
-			fmt.Printf("  stage %2d: %d workers; worker w owns keys with hash(key) mod %d == w\n",
-				si, par, par)
-		}
-	}
-
 	genDir := filepath.Join(dir, fmt.Sprintf("gen-%06d", meta.Gen))
-	ents, err := os.ReadDir(genDir)
-	if err != nil {
+	if _, err := os.Stat(genDir); err != nil {
 		return fmt.Errorf("committed generation unreadable: %w", err)
 	}
+	workerDir := func(si, w int) string { return filepath.Join(genDir, fmt.Sprintf("s%02d-w%02d", si, w)) }
+	var stateful []int
+	fmt.Println("key-range manifest:")
+	for si, p := range meta.StagePars {
+		if _, err := os.Stat(workerDir(si, 0)); err != nil {
+			fmt.Printf("  stage %2d: %d workers, stateless (no worker checkpoints)\n", si, p)
+			continue
+		}
+		stateful = append(stateful, si)
+		fmt.Printf("  stage %2d: %d workers; worker w owns keys with hash(key) mod %d == w\n", si, p, p)
+	}
+
 	fmt.Println("worker checkpoints:")
 	var workers, invalid int
-	for _, e := range ents {
-		if !e.IsDir() {
-			continue
+	for _, si := range stateful {
+		for w := 0; w < int(meta.StagePars[si]); w++ {
+			workers++
+			cp := workerDir(si, w)
+			pat, inst, err := core.VerifyCheckpointDir(nil, cp)
+			if err != nil {
+				invalid++
+				fmt.Printf("  %-10s INVALID: %v\n", filepath.Base(cp), err)
+				continue
+			}
+			fmt.Printf("  %-10s %-7s x%d  verified\n", filepath.Base(cp), pat, inst)
 		}
-		workers++
-		pat, inst, err := core.VerifyCheckpointDir(nil, filepath.Join(genDir, e.Name()))
-		if err != nil {
-			invalid++
-			fmt.Printf("  %-10s INVALID: %v\n", e.Name(), err)
-			continue
-		}
-		fmt.Printf("  %-10s %-7s x%d  verified\n", e.Name(), pat, inst)
 	}
 
 	recs, err := spe.ReadLedger(nil, dir)
@@ -418,16 +404,12 @@ func cmdJob(dir string, target int) error {
 			fmt.Printf("resume at %d workers: job is final; Resume is a no-op\n", target)
 		} else {
 			fmt.Printf("resume at %d workers:\n", target)
-			for _, si := range stages {
-				cs := layout[si]
-				switch {
-				case cs.Shared:
-					fmt.Printf("  stage %2d: shared store restores whole; operator snapshots fan out to %d workers\n", si, target)
-				case cs.Workers == target:
+			for _, si := range stateful {
+				if p := int(meta.StagePars[si]); p == target {
 					fmt.Printf("  stage %2d: direct worker-for-worker restore\n", si)
-				default:
+				} else {
 					fmt.Printf("  stage %2d: rescale %d -> %d; committed key ranges split/merged by rehash\n",
-						si, cs.Workers, target)
+						si, p, target)
 				}
 			}
 			// Show where the committed results' keys land under the new
@@ -470,14 +452,11 @@ func cmdMigration(dir string) error {
 	}
 	moved := 0
 	for si, tab := range meta.Routing {
-		par := len(tab)
-		if si < len(meta.StagePars) && meta.StagePars[si] > 0 {
-			par = int(meta.StagePars[si])
-		}
+		par := int(meta.StagePars[si]) // decode guarantees one entry per table
 		fmt.Printf("  stage %2d (%d workers, %d buckets):", si, par, len(tab))
 		anyMoved := false
 		for b, w := range tab {
-			if par > 0 && int(w) != b%par {
+			if int(w) != b%par {
 				fmt.Printf(" bucket %d->worker %d", b, w)
 				anyMoved = true
 				moved++

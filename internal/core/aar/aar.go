@@ -560,17 +560,15 @@ func (s *Store) Windows() []window.Window {
 	return out
 }
 
-// ReadWindowFiltered returns window w's state restricted to the keys the
-// own predicate accepts (nil accepts every key), grouped by key, without
-// consuming anything: the log stays on disk and buffered entries stay
-// buffered, so several callers can each read their own key range and the
-// window can be dropped wholesale later. It must not overlap a
+// PeekWindow returns window w's state grouped by key without consuming
+// anything: the log stays on disk and buffered entries stay buffered
+// (the state-dump path of job rescaling). It must not overlap a
 // destructive GetWindow drain of the same window.
-func (s *Store) ReadWindowFiltered(w window.Window, own func(key []byte) bool) ([]KeyValues, error) {
+func (s *Store) PeekWindow(w window.Window) ([]KeyValues, error) {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
 	if s.reads[w] != nil {
-		return nil, fmt.Errorf("aar: window %v: filtered read during destructive drain", w)
+		return nil, fmt.Errorf("aar: window %v: peek during destructive drain", w)
 	}
 	// Snapshot the buffered entries under mu. Flushes need ioMu, so the
 	// bucket cannot move to disk while we scan: nothing is seen twice.
@@ -588,9 +586,6 @@ func (s *Store) ReadWindowFiltered(w window.Window, own func(key []byte) bool) (
 	groups := make(map[string]int)
 	var out []KeyValues
 	add := func(k, v []byte) {
-		if own != nil && !own(k) {
-			return
-		}
 		idx, seen := groups[string(k)]
 		if !seen {
 			kc := make([]byte, len(k))

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"flowkv/internal/window"
 )
@@ -39,7 +38,7 @@ func (s *Store) ForEachState(fn func(StateEntry) error) error {
 	case PatternAAR:
 		for _, st := range s.aars {
 			for _, w := range st.Windows() {
-				kvs, err := st.ReadWindowFiltered(w, nil)
+				kvs, err := st.PeekWindow(w)
 				if err != nil {
 					return fmt.Errorf("flowkv: dump window %v: %w", w, err)
 				}
@@ -70,40 +69,4 @@ func (s *Store) ForEachState(fn func(StateEntry) error) error {
 		}
 	}
 	return nil
-}
-
-// ReadWindowOwned returns window w's state restricted to the keys the
-// own predicate accepts (nil accepts every key), grouped by key, without
-// consuming the window (AAR only). This is the shared-backend trigger
-// path: each worker of a stage sharing one store drains only the key
-// range it owns, and the window is dropped wholesale (DropWindow) once
-// every owner has fired. It must not overlap a destructive GetWindow
-// drain of the same window.
-func (s *Store) ReadWindowOwned(w window.Window, own func(key []byte) bool) ([]KeyValues, error) {
-	if s.pattern != PatternAAR {
-		return nil, ErrWrongPattern
-	}
-	if err := s.guardRead(); err != nil {
-		return nil, err
-	}
-	var (
-		mu  sync.Mutex
-		out []KeyValues
-	)
-	err := s.eachInstance(func(i int) error {
-		part, err := s.aars[i].ReadWindowFiltered(w, own)
-		if err != nil {
-			return err
-		}
-		if len(part) > 0 {
-			mu.Lock()
-			out = append(out, part...)
-			mu.Unlock()
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -20,7 +20,7 @@ import (
 // drained (the same asymmetry as Degraded mode, which stays readable).
 //
 // The wrapper implements Unwrap, so capability probes (DeltaCheckpointer,
-// FlowKVHealth, PartitionedWindowReader) reach the store underneath,
+// FlowKVHealth) reach the store underneath,
 // and checkpoint I/O itself is NOT metered — a checkpoint is the
 // manager's durability obligation, not tenant traffic.
 type limitedBackend struct {

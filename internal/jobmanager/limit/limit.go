@@ -216,11 +216,16 @@ func (tb *TokenBucket) Tokens(now time.Time) float64 {
 // an early-but-tolerable request is TAT - τ - now. GCRA meters exactly
 // like a token bucket at steady state but needs O(1) state with no
 // refill arithmetic, and its TAT subtraction makes Cancel exact.
+//
+// n·T is computed from the float rate per request, never from a
+// whole-nanosecond T: at byte rates T is a fraction of a nanosecond
+// off a whole number (14.9 ns at 64 MiB/s), and truncating it once
+// would over-admit by that fraction on every unit.
 type GCRA struct {
-	mu  sync.Mutex
-	t   time.Duration // emission interval per unit: 1/rate
-	tau time.Duration // tolerance: burst * t
-	tat time.Time     // theoretical arrival time of the next unit
+	mu   sync.Mutex
+	rate float64       // units per second
+	tau  time.Duration // tolerance: burst / rate
+	tat  time.Time     // theoretical arrival time of the next unit
 }
 
 // NewGCRA builds a GCRA limiter.
@@ -229,11 +234,17 @@ func NewGCRA(cfg Config) (*GCRA, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := time.Duration(float64(time.Second) / c.Rate)
-	if t <= 0 {
-		t = 1
-	}
-	return &GCRA{t: t, tau: time.Duration(c.Burst * float64(t))}, nil
+	g := &GCRA{rate: c.Rate}
+	g.tau = g.interval(c.Burst)
+	return g, nil
+}
+
+// interval is the emission time of n units, n / rate, rounded up to
+// the nanosecond so rounding never admits more than the rate (and a
+// request is never free). Reserve and Cancel share it, so a cancel rolls
+// TAT back by exactly what the reservation advanced it.
+func (g *GCRA) interval(n float64) time.Duration {
+	return time.Duration(math.Ceil(n / g.rate * float64(time.Second)))
 }
 
 // Name implements Limiter.
@@ -244,7 +255,7 @@ func (g *GCRA) Reserve(now time.Time, n float64, maxWait time.Duration) (time.Du
 	if n <= 0 {
 		return 0, true
 	}
-	inc := time.Duration(n * float64(g.t))
+	inc := g.interval(n)
 	if inc > g.tau {
 		// n exceeds the burst tolerance: never admissible at once.
 		return 0, false
@@ -272,7 +283,7 @@ func (g *GCRA) Cancel(now time.Time, n float64) {
 	if n <= 0 {
 		return
 	}
-	inc := time.Duration(n * float64(g.t))
+	inc := g.interval(n)
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.tat = g.tat.Add(-inc)

@@ -148,6 +148,42 @@ func TestSteadyRateConverges(t *testing.T) {
 	})
 }
 
+// TestGCRAMetersHighRates: at byte rates the per-unit emission interval
+// is a fraction of a nanosecond off a whole number, so GCRA must meter
+// from the float rate. Reserving 4096-unit chunks for one virtual
+// second (each reservation served its full wait), GCRA must admit
+// within 1% of what the token bucket admits.
+func TestGCRAMetersHighRates(t *testing.T) {
+	admitted := func(l Limiter) float64 {
+		const chunk = 4096
+		end := t0.Add(time.Second)
+		total := 0.0
+		for now := t0; now.Before(end); {
+			w, ok := l.Reserve(now, chunk, -1)
+			if !ok {
+				t.Fatalf("%s refused a %d-unit chunk with unbounded wait", l.Name(), chunk)
+			}
+			total += chunk
+			now = now.Add(w)
+		}
+		return total
+	}
+	for _, rate := range []float64{64 << 20, 300e6} {
+		cfg := Config{Rate: rate, Burst: 1 << 20}
+		g, err := NewGCRA(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb, err := NewTokenBucket(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ratio := admitted(g) / admitted(tb); ratio < 0.99 || ratio > 1.01 {
+			t.Errorf("rate %.0f/s: GCRA admitted %.4fx the token bucket, want within 1%%", rate, ratio)
+		}
+	}
+}
+
 func TestCancelReturnsCharge(t *testing.T) {
 	strategies(t, allStrategies, Config{Rate: 10, Burst: 4}, func(t *testing.T, l Limiter) {
 		if _, ok := l.Reserve(t0, 4, 0); !ok {

@@ -19,7 +19,6 @@ import (
 	"flowkv/internal/faultfs"
 	"flowkv/internal/metrics"
 	"flowkv/internal/statebackend"
-	"flowkv/internal/window"
 )
 
 // Jobs: checkpointed pipeline runs with exactly-once resume.
@@ -46,12 +45,10 @@ import (
 //
 // Every pipeline shape participates. Interval-join stages snapshot and
 // restore like window stages (IntervalJoinOperator implements the
-// snapshot contract). A shared-backend stage commits a single-owner cut:
-// the coordinator, which owns the barrier's exclusive cut, takes ONE
-// checkpoint of the merged store carrying all workers' operator
-// snapshots in a combined frame, and restore fans the snapshots back out
-// (the store itself needs no splitting — it is shared). Resume may also
-// change a stage's parallelism: committed per-worker checkpoints are
+// snapshot contract). Every worker owns its backend, so a generation
+// holds one checkpoint per stateful worker, and the JOB record's
+// StagePars say how many workers each stage was committed at. Resume
+// may change a stage's parallelism: committed per-worker checkpoints are
 // split/merged along key ranges before replay (see rescale.go).
 //
 // Determinism requirements on the pipeline: a seekable, deterministic
@@ -73,11 +70,17 @@ const (
 // read; older records fail with ErrBadMagic.
 const jobMetaMagic = "flowkv-job3\n"
 
-// ErrBadMagic reports a JOB record, shared-stage snapshot, operator
-// snapshot or migration journal that does not start with its current
-// format's magic: an older version or not that artifact at all. Each
-// artifact has one version; an older one is refused, never guessed at.
+// ErrBadMagic reports a JOB record, operator snapshot or migration
+// journal that does not start with its current format's magic: an older
+// version or not that artifact at all. Each artifact has one version; an
+// older one is refused, never guessed at.
 var ErrBadMagic = errors.New("spe: bad magic")
+
+// ErrCorruptJob reports a JOB record (or GENMETA copy) whose frame
+// does not decode or whose fields contradict each other: a stage
+// parallelism below 1 or past the decode bound, or a routing table
+// that does not fit its stage.
+var ErrCorruptJob = errors.New("spe: corrupt JOB file")
 
 // ErrJobKilled reports a run aborted by the KillAfterTuples crash knob.
 var ErrJobKilled = errors.New("spe: job killed (simulated crash)")
@@ -150,7 +153,7 @@ type Job struct {
 	// track per-tenant checkpoint progress.
 	OnCheckpoint func(gen int64, final bool)
 	// Migrations schedules live key-range handoffs: each entry moves one
-	// hash bucket of a private stateful stage to another worker while
+	// hash bucket of a stateful stage to another worker while
 	// the job runs, via the crash-safe two-phase protocol in migrate.go.
 	Migrations []Migration
 	// ProgressDeadline, when positive, arms the progress watchdog: every
@@ -253,8 +256,6 @@ func genDirName(gen int64) string { return fmt.Sprintf("%s%06d", genPrefix, gen)
 
 func workerDirName(stage, worker int) string { return fmt.Sprintf("s%02d-w%02d", stage, worker) }
 
-func sharedDirName(stage int) string { return fmt.Sprintf("s%02d-shared", stage) }
-
 // Run starts the job from a clean slate. It refuses to run over a job
 // directory that already has committed progress — use Resume there. Any
 // uncommitted debris from a previous attempt (partial generation
@@ -345,41 +346,20 @@ func (j *Job) retain() int64 {
 	return 1
 }
 
-// jobStage is one stateful stage of a running job: its operators plus
-// either per-worker private backends/checkpointers or one shared backend
-// with a single-owner checkpoint cut.
+// jobStage is one stateful stage of a running job: its operators and
+// each worker's backend and checkpointer.
 type jobStage struct {
-	si   int    // pipeline stage index
-	name string // stage name for errors
-	par  int    // current parallelism
-	join bool   // interval-join stage (selects the snapshot codec)
-	ops  []opSnapshotter
-	// Private mode: one backend + checkpointer per worker.
+	si       int    // pipeline stage index
+	name     string // stage name for errors
+	par      int    // current parallelism
+	join     bool   // interval-join stage (selects the snapshot codec)
+	ops      []opSnapshotter
 	backends []statebackend.Backend
 	cps      []statebackend.DeltaCheckpointer
-	// Shared mode: the stage's single backend and checkpointer, plus the
-	// deferred drop tracker whose fired-window queue rides inside the
-	// single-owner cut (nil when the backend has no partitioned reads).
-	shared   statebackend.Backend
-	sharedCP statebackend.DeltaCheckpointer
-	drops    *sharedDrops
 	// Per-worker self-healer stop functions (nil entries when no healer
-	// runs); sharedHeal covers shared mode. Tracked per worker so live
-	// migration can stop and restart a single worker's healer around a
-	// backend swap.
-	heal       []func()
-	sharedHeal func()
-}
-
-// eachBackend visits the stage's distinct backends (one in shared mode).
-func (js *jobStage) eachBackend(fn func(statebackend.Backend)) {
-	if js.shared != nil {
-		fn(js.shared)
-		return
-	}
-	for _, b := range js.backends {
-		fn(b)
-	}
+	// runs). Tracked per worker so live migration can stop and restart a
+	// single worker's healer around a backend swap.
+	heal []func()
 }
 
 // jobRun is the state of one job execution attempt.
@@ -479,28 +459,18 @@ func (j *Job) run(meta *JobMeta) (*JobResult, error) {
 			continue
 		}
 		js := &jobStage{si: si, name: rt.stage.Name, par: rt.par, join: rt.stage.Join != nil}
-		if rt.shared != nil {
-			cp, ok := statebackend.AsDeltaCheckpointer(rt.shared)
-			if !ok {
-				return fail(fmt.Errorf("spe: stage %s: shared backend %s does not support checkpointing", rt.stage.Name, rt.shared.Name()))
-			}
-			js.shared, js.sharedCP = rt.shared, cp
-			js.drops = rt.drops
-		}
 		for wi, op := range rt.ops {
 			snapOp, ok := op.(opSnapshotter)
 			if !ok {
 				return fail(fmt.Errorf("spe: stage %s worker %d: operator does not support snapshots", rt.stage.Name, wi))
 			}
-			js.ops = append(js.ops, snapOp)
-			if rt.shared == nil {
-				cp, ok := statebackend.AsDeltaCheckpointer(op.Backend())
-				if !ok {
-					return fail(fmt.Errorf("spe: stage %s: backend %s does not support checkpointing", rt.stage.Name, op.Backend().Name()))
-				}
-				js.backends = append(js.backends, op.Backend())
-				js.cps = append(js.cps, cp)
+			cp, ok := statebackend.AsDeltaCheckpointer(op.Backend())
+			if !ok {
+				return fail(fmt.Errorf("spe: stage %s: backend %s does not support checkpointing", rt.stage.Name, op.Backend().Name()))
 			}
+			js.ops = append(js.ops, snapOp)
+			js.backends = append(js.backends, op.Backend())
+			js.cps = append(js.cps, cp)
 		}
 		jr.stages = append(jr.stages, js)
 	}
@@ -520,7 +490,6 @@ func (j *Job) run(meta *JobMeta) (*JobResult, error) {
 		r.maxTS = meta.MaxTS
 		r.sinceWM = int(meta.SinceWM)
 		jr.gen = meta.Gen
-		r.reseedSharedWindows()
 		// Re-apply committed routing tables. A stage resumed at a
 		// different parallelism drops back to identity: the rescale path
 		// just re-routed every key from scratch.
@@ -684,12 +653,10 @@ loop:
 }
 
 // commit writes one checkpoint generation and moves the commit point:
-// per-worker checkpoints (with operator snapshots as metadata) for
-// private stages, one single-owner checkpoint per shared stage (the
-// merged store cut carrying all workers' snapshots in a combined frame),
-// the sorted sink segment appended to the ledger, then the JOB file
-// renamed into place. Superseded generations are garbage-collected after
-// the commit.
+// per-worker checkpoints (with operator snapshots as metadata), the
+// sorted sink segment appended to the ledger, then the JOB file renamed
+// into place. Superseded generations are garbage-collected after the
+// commit.
 func (jr *jobRun) commit(final bool) error {
 	j := jr.j
 	gen := jr.gen + 1
@@ -707,25 +674,6 @@ func (jr *jobRun) commit(final bool) error {
 		prevGenDir = filepath.Join(j.Dir, genDirName(jr.gen))
 	}
 	for _, js := range jr.stages {
-		if js.shared != nil {
-			snaps := make([][]byte, len(js.ops))
-			for w, op := range js.ops {
-				snaps[w] = op.snapshotState()
-			}
-			var fired []window.Window
-			if js.drops != nil {
-				fired = js.drops.snapshotFired()
-			}
-			dir := filepath.Join(genDir, sharedDirName(js.si))
-			parent := ""
-			if prevGenDir != "" {
-				parent = filepath.Join(prevGenDir, sharedDirName(js.si))
-			}
-			if err := jr.checkpointBackend(js.sharedCP, js.shared, dir, parent, encodeShardSnaps(snaps, fired)); err != nil {
-				return jr.checkpointFailed(js, -1, js.shared, gen, err)
-			}
-			continue
-		}
 		for w, op := range js.ops {
 			dir := filepath.Join(genDir, workerDirName(js.si, w))
 			parent := ""
@@ -802,12 +750,6 @@ func (jr *jobRun) startHealers() {
 		return
 	}
 	for _, js := range jr.stages {
-		if js.shared != nil {
-			if stop, ok := statebackend.StartSelfHeal(js.shared, *jr.j.SelfHeal); ok {
-				js.sharedHeal = stop
-			}
-			continue
-		}
 		js.heal = make([]func(), len(js.backends))
 		for w := range js.backends {
 			jr.startHeal(js, w)
@@ -818,7 +760,7 @@ func (jr *jobRun) startHealers() {
 // startHeal (re)starts one worker's self-healer over its current
 // backend.
 func (jr *jobRun) startHeal(js *jobStage, w int) {
-	if jr.j.SelfHeal == nil || js.shared != nil {
+	if jr.j.SelfHeal == nil {
 		return
 	}
 	if js.heal == nil {
@@ -842,10 +784,6 @@ func (jr *jobRun) stopHeal(js *jobStage, w int) {
 // stopHealers stops every running self-healer.
 func (jr *jobRun) stopHealers() {
 	for _, js := range jr.stages {
-		if js.sharedHeal != nil {
-			js.sharedHeal()
-			js.sharedHeal = nil
-		}
 		for w := range js.heal {
 			jr.stopHeal(js, w)
 		}
@@ -952,60 +890,30 @@ func (jr *jobRun) checkpointBackend(cp statebackend.DeltaCheckpointer, b stateba
 }
 
 // restoreCommitted rebuilds every stateful stage from the committed
-// generation. Same-parallelism private stages restore worker-for-worker;
-// a parallelism change routes each committed worker checkpoint through a
+// generation. The JOB record's StagePars give each stage's committed
+// worker count. Same-parallelism stages restore worker-for-worker; a
+// parallelism change routes each committed worker checkpoint through a
 // scratch store and re-appends its state into the new workers by key
-// hash, then re-partitions the operator snapshots the same way. Shared
-// stages restore their single merged cut and fan the combined operator
-// snapshots back out — re-partitioned first if the worker count changed.
-// The committed generation is only ever read; a crash mid-restore leaves
-// it intact for the next Resume.
+// hash, then re-partitions the operator snapshots the same way. The
+// committed generation is only ever read; a crash mid-restore leaves it
+// intact for the next Resume.
 func (jr *jobRun) restoreCommitted(meta JobMeta) error {
 	j := jr.j
 	genDir := filepath.Join(j.Dir, genDirName(meta.Gen))
-	layout, err := CommittedLayout(jr.fsys, j.Dir, meta.Gen)
-	if err != nil {
-		return err
-	}
 	scratchRoot := filepath.Join(j.Dir, rescaleDirName)
 	defer jr.fsys.RemoveAll(scratchRoot)
 	for _, js := range jr.stages {
-		cs, ok := layout[js.si]
-		if !ok {
-			return fmt.Errorf("spe: job resume gen %d: stage %s has no committed checkpoint", meta.Gen, js.name)
+		if js.si >= len(meta.StagePars) {
+			return fmt.Errorf("spe: job resume gen %d: stage %s has no committed parallelism", meta.Gen, js.name)
 		}
-		if cs.Shared != (js.shared != nil) {
-			return fmt.Errorf("spe: job resume gen %d: stage %s committed shared=%v, pipeline shared=%v", meta.Gen, js.name, cs.Shared, js.shared != nil)
+		committed := int(meta.StagePars[js.si])
+		// A stage committed stateless has no worker checkpoints: refuse
+		// the pipeline mismatch before a missing MANIFEST reads as rot
+		// and quarantines a sound generation.
+		if _, err := jr.fsys.ReadDir(filepath.Join(genDir, workerDirName(js.si, 0))); err != nil {
+			return fmt.Errorf("spe: job resume gen %d: stage %s has no committed checkpoint: %w", meta.Gen, js.name, err)
 		}
-		if js.shared != nil {
-			combined, err := js.sharedCP.RestoreMeta(filepath.Join(genDir, sharedDirName(js.si)))
-			if err != nil {
-				return fmt.Errorf("spe: job resume gen %d: %w", meta.Gen, err)
-			}
-			snaps, fired, err := decodeShardSnaps(combined)
-			if err != nil {
-				return fmt.Errorf("spe: job resume gen %d: %w", meta.Gen, err)
-			}
-			if len(snaps) != js.par {
-				if snaps, err = repartitionOpSnaps(snaps, js.par, js.join); err != nil {
-					return fmt.Errorf("spe: job rescale stage %s %d->%d: %w", js.name, len(snaps), js.par, err)
-				}
-			}
-			for w, op := range js.ops {
-				if err := op.restoreState(snaps[w]); err != nil {
-					return fmt.Errorf("spe: job resume gen %d: %w", meta.Gen, err)
-				}
-			}
-			// Requeue the committed fired-window list: these windows'
-			// merged state is still linked in the shared store but no
-			// operator snapshot references them anymore, so without the
-			// reseed a resumed stage would leak them as orphans.
-			if js.drops != nil {
-				js.drops.reseedFired(fired)
-			}
-			continue
-		}
-		if cs.Workers == js.par {
+		if committed == js.par {
 			for w, op := range js.ops {
 				snap, err := js.cps[w].RestoreMeta(filepath.Join(genDir, workerDirName(js.si, w)))
 				if err != nil {
@@ -1025,24 +933,24 @@ func (jr *jobRun) restoreCommitted(meta JobMeta) error {
 			// owner is decided by the user key, as live routing does.
 			route = func(key []byte) int { return routeKey(sideKeyUser(key), js.par) }
 		}
-		oldSnaps := make([][]byte, 0, cs.Workers)
-		for ow := 0; ow < cs.Workers; ow++ {
+		oldSnaps := make([][]byte, 0, committed)
+		for ow := 0; ow < committed; ow++ {
 			snap, err := rerouteCheckpointState(jr.fsys,
 				filepath.Join(genDir, workerDirName(js.si, ow)),
 				filepath.Join(scratchRoot, workerDirName(js.si, ow)),
 				js.backends, route)
 			if err != nil {
-				return fmt.Errorf("spe: job rescale stage %s %d->%d: %w", js.name, cs.Workers, js.par, err)
+				return fmt.Errorf("spe: job rescale stage %s %d->%d: %w", js.name, committed, js.par, err)
 			}
 			oldSnaps = append(oldSnaps, snap)
 		}
 		newSnaps, err := repartitionOpSnaps(oldSnaps, js.par, js.join)
 		if err != nil {
-			return fmt.Errorf("spe: job rescale stage %s %d->%d: %w", js.name, cs.Workers, js.par, err)
+			return fmt.Errorf("spe: job rescale stage %s %d->%d: %w", js.name, committed, js.par, err)
 		}
 		for w, op := range js.ops {
 			if err := op.restoreState(newSnaps[w]); err != nil {
-				return fmt.Errorf("spe: job rescale stage %s %d->%d: %w", js.name, cs.Workers, js.par, err)
+				return fmt.Errorf("spe: job rescale stage %s %d->%d: %w", js.name, committed, js.par, err)
 			}
 		}
 	}
@@ -1175,10 +1083,15 @@ func encodeJobMeta(m JobMeta) []byte {
 	return binio.AppendRecord(nil, p)
 }
 
+// maxDecodeCount bounds every decoded count in the JOB record (stages,
+// a stage's parallelism, routing tables and their entries) and the
+// migration journal's record count against corrupt input.
+const maxDecodeCount = 1 << 16
+
 func decodeJobMeta(b []byte) (JobMeta, error) {
 	payload, _, err := binio.ReadRecord(b)
 	if err != nil {
-		return JobMeta{}, fmt.Errorf("spe: corrupt JOB file: %w", err)
+		return JobMeta{}, fmt.Errorf("%w: %w", ErrCorruptJob, err)
 	}
 	d := snapDecoder{b: payload}
 	if err := d.magic(jobMetaMagic); err != nil {
@@ -1193,20 +1106,27 @@ func decodeJobMeta(b []byte) (JobMeta, error) {
 	m.SinceWM = d.varint()
 	m.LedgerLen = d.varint()
 	n := d.uvarint()
-	if n > maxShardSnaps {
-		return JobMeta{}, fmt.Errorf("spe: corrupt JOB file: %d stages", n)
+	if n > maxDecodeCount {
+		return JobMeta{}, fmt.Errorf("%w: %d stages", ErrCorruptJob, n)
 	}
 	for i := uint64(0); i < n; i++ {
-		m.StagePars = append(m.StagePars, d.varint())
+		par := d.varint()
+		if d.err == nil && (par < 1 || par > maxDecodeCount) {
+			// StagePars alone say how many worker checkpoints each
+			// stage committed; a parallelism of 0 would restore a
+			// stateful stage from no checkpoints at all.
+			return JobMeta{}, fmt.Errorf("%w: stage %d parallelism %d", ErrCorruptJob, i, par)
+		}
+		m.StagePars = append(m.StagePars, par)
 	}
 	n = d.uvarint()
-	if n > maxShardSnaps {
-		return JobMeta{}, fmt.Errorf("spe: corrupt JOB file: %d routing tables", n)
+	if n > maxDecodeCount {
+		return JobMeta{}, fmt.Errorf("%w: %d routing tables", ErrCorruptJob, n)
 	}
 	for i := uint64(0); i < n; i++ {
 		rn := d.uvarint()
-		if rn > maxShardSnaps {
-			return JobMeta{}, fmt.Errorf("spe: corrupt JOB file: %d routing entries", rn)
+		if rn > maxDecodeCount {
+			return JobMeta{}, fmt.Errorf("%w: %d routing entries", ErrCorruptJob, rn)
 		}
 		var rt []int64
 		for k := uint64(0); k < rn; k++ {
@@ -1215,7 +1135,7 @@ func decodeJobMeta(b []byte) (JobMeta, error) {
 		m.Routing = append(m.Routing, rt)
 	}
 	if d.err != nil {
-		return JobMeta{}, fmt.Errorf("spe: corrupt JOB file: %w", d.err)
+		return JobMeta{}, fmt.Errorf("%w: %w", ErrCorruptJob, d.err)
 	}
 	if err := m.validRouting(); err != nil {
 		return JobMeta{}, err
@@ -1231,18 +1151,18 @@ func (m *JobMeta) validRouting() error {
 		return nil
 	}
 	if len(m.Routing) != len(m.StagePars) {
-		return fmt.Errorf("spe: corrupt JOB file: %d routing tables for %d stages", len(m.Routing), len(m.StagePars))
+		return fmt.Errorf("%w: %d routing tables for %d stages", ErrCorruptJob, len(m.Routing), len(m.StagePars))
 	}
 	for si, rt := range m.Routing {
 		if len(rt) == 0 {
 			continue
 		}
 		if int64(len(rt)) != m.StagePars[si] {
-			return fmt.Errorf("spe: corrupt JOB file: stage %d routing has %d buckets, parallelism %d", si, len(rt), m.StagePars[si])
+			return fmt.Errorf("%w: stage %d routing has %d buckets, parallelism %d", ErrCorruptJob, si, len(rt), m.StagePars[si])
 		}
 		for b, w := range rt {
 			if w < 0 || w >= m.StagePars[si] {
-				return fmt.Errorf("spe: corrupt JOB file: stage %d bucket %d routed to worker %d of %d", si, b, w, m.StagePars[si])
+				return fmt.Errorf("%w: stage %d bucket %d routed to worker %d of %d", ErrCorruptJob, si, b, w, m.StagePars[si])
 			}
 		}
 	}

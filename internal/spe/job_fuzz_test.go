@@ -34,8 +34,10 @@ func realJobRecord(f *testing.F) []byte {
 // The JOB record is the single commit point of every checkpointed run —
 // resume trusts it to locate the committed generation, source offset
 // and ledger length — so the decoder must reject corruption with a
-// reason rather than panic, and anything it accepts must survive a
-// re-encode/decode round trip unchanged.
+// reason rather than panic, anything it accepts must survive a
+// re-encode/decode round trip unchanged, and every stage parallelism it
+// accepts is at least 1 (StagePars name the committed worker
+// checkpoints resume restores from).
 func FuzzDecodeJobRecord(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(encodeJobMeta(JobMeta{}))
@@ -60,6 +62,11 @@ func FuzzDecodeJobRecord(f *testing.F) {
 		m, err := decodeJobMeta(b)
 		if err != nil {
 			return
+		}
+		for si, p := range m.StagePars {
+			if p < 1 {
+				t.Fatalf("accepted stage %d parallelism %d", si, p)
+			}
 		}
 		re := encodeJobMeta(m)
 		m2, err := decodeJobMeta(re)

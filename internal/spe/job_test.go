@@ -530,6 +530,64 @@ func TestJobMetaRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJobMetaRejectsBadStagePars: StagePars alone say how many worker
+// checkpoints a stage committed, so a parallelism below 1 or past the
+// decode bound must fail decode typed rather than restore a stateful
+// stage from no checkpoints at all.
+func TestJobMetaRejectsBadStagePars(t *testing.T) {
+	dir := t.TempDir()
+	for _, pars := range [][]int64{{2, 0}, {-1}, {1, maxDecodeCount + 1}} {
+		m := JobMeta{Gen: 3, Offset: 100, StagePars: pars}
+		if _, err := decodeJobMeta(encodeJobMeta(m)); !errors.Is(err, ErrCorruptJob) {
+			t.Fatalf("StagePars %v: decode err = %v, want ErrCorruptJob", pars, err)
+		}
+		if err := writeJobMeta(faultfs.OS, dir, m); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadJobMeta(nil, dir); !errors.Is(err, ErrCorruptJob) {
+			t.Fatalf("StagePars %v: ReadJobMeta err = %v, want ErrCorruptJob", pars, err)
+		}
+	}
+}
+
+// TestJobResumeIgnoresStrayWorkerDir: the committed worker count of a
+// stage comes from the JOB record's StagePars, not from the directory
+// names inside the committed generation. A stray empty directory named
+// like an eighth worker's checkpoint must not turn a 2-worker resume
+// into a rescale from 8 workers.
+func TestJobResumeIgnoresStrayWorkerDir(t *testing.T) {
+	tuples := crashTuples(600)
+	const every = 97
+	pat := crashPatterns()[0] // AAR
+	golden := goldenLedger(t, pat, tuples, every, 1<<10)
+	base := t.TempDir()
+	src := NewSliceSource(tuples)
+	mk := func(kill int64) *Job {
+		return &Job{
+			Pipeline:        crashPipeline(pat, filepath.Join(base, "state"), nil, 1<<10),
+			Source:          src,
+			Dir:             filepath.Join(base, "job"),
+			CheckpointEvery: every,
+			KillAfterTuples: kill,
+		}
+	}
+	if _, err := mk(350).Run(); !errors.Is(err, ErrJobKilled) {
+		t.Fatalf("run: err = %v, want ErrJobKilled", err)
+	}
+	meta, err := ReadJobMeta(nil, filepath.Join(base, "job"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.Gen < 1 || meta.Final {
+		t.Fatalf("killed run committed gen %d final=%v; want a resumable generation", meta.Gen, meta.Final)
+	}
+	stray := filepath.Join(base, "job", genDirName(meta.Gen), workerDirName(1, 7))
+	if err := os.MkdirAll(stray, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	resumeToFinal(t, mk, golden)
+}
+
 // TestJobGenerationsChainIncrementally is the SPE leg of the
 // incremental-checkpoint battery: every barrier commit after the first
 // generation must go through the delta path, chaining on the previous

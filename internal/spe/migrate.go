@@ -60,8 +60,8 @@ import (
 // a failed attempt is not retried within the run but is re-attempted by
 // a later Resume (the routing table still shows it pending).
 type Migration struct {
-	// Stage is the pipeline stage index; it must name a private stateful
-	// stage (window or join, not shared-backend, not Map).
+	// Stage is the pipeline stage index; it must name a stateful stage
+	// (window or join, not Map).
 	Stage int
 	// Bucket is the hash bucket to move: the keys with
 	// routeKey(key, par) == Bucket.
@@ -140,7 +140,7 @@ func decodeMigrationJournal(b []byte) ([]MigrationRecord, error) {
 		return nil, fmt.Errorf("spe: not a migration journal: %w", err)
 	}
 	n := d.uvarint()
-	if n > maxShardSnaps {
+	if n > maxDecodeCount {
 		return nil, fmt.Errorf("spe: corrupt migration journal: %d records", n)
 	}
 	recs := make([]MigrationRecord, 0, n)
@@ -251,17 +251,12 @@ func (jr *jobRun) bucketOwner(si, bucket int) int {
 }
 
 // validateMigrations rejects plans that name a stage or worker the
-// pipeline does not have. Shared-backend stages are refused: their
-// store is one merged cut, not per-worker files, and the worker views'
-// key-range predicates assume identity routing.
+// pipeline does not have.
 func (jr *jobRun) validateMigrations() error {
 	for i, mg := range jr.j.Migrations {
 		js := jr.stageBySI(mg.Stage)
 		if js == nil {
 			return fmt.Errorf("spe: migration %d: stage %d is not a stateful stage", i, mg.Stage)
-		}
-		if js.shared != nil {
-			return fmt.Errorf("spe: migration %d: stage %s shares one backend; there is no per-worker range to move", i, js.name)
 		}
 		if mg.Bucket < 0 || mg.Bucket >= js.par {
 			return fmt.Errorf("spe: migration %d: bucket %d out of range (parallelism %d)", i, mg.Bucket, js.par)

@@ -1,11 +1,6 @@
 package spe
 
 import (
-	"fmt"
-	"path/filepath"
-	"strings"
-
-	"flowkv/internal/binio"
 	"flowkv/internal/core"
 	"flowkv/internal/faultfs"
 	"flowkv/internal/statebackend"
@@ -183,58 +178,6 @@ func repartitionOpSnaps(snaps [][]byte, newPar int, join bool) ([][]byte, error)
 	return repartitionWindowSnaps(snaps, newPar)
 }
 
-// shardSnapsMagic frames the per-worker operator snapshots of one
-// shared-backend stage inside the stage's single checkpoint metadata,
-// followed by the drop tracker's fully-fired window queue — windows every
-// owner has drained but whose merged state still waits on the stage-min
-// watermark — so a resumed stage drops them instead of leaking orphan
-// window state. Older frames fail with ErrBadMagic.
-const shardSnapsMagic = "flowkv-shardsnaps2\n"
-
-// maxShardSnaps bounds the decoded worker count against corrupt input.
-const maxShardSnaps = 1 << 16
-
-func encodeShardSnaps(snaps [][]byte, fired []window.Window) []byte {
-	b := []byte(shardSnapsMagic)
-	b = binio.PutUvarint(b, uint64(len(snaps)))
-	for _, s := range snaps {
-		b = binio.PutBytes(b, s)
-	}
-	b = binio.PutUvarint(b, uint64(len(fired)))
-	for _, w := range fired {
-		b = binio.PutVarint(b, w.Start)
-		b = binio.PutVarint(b, w.End)
-	}
-	return b
-}
-
-func decodeShardSnaps(b []byte) (snaps [][]byte, fired []window.Window, err error) {
-	d := snapDecoder{b: b}
-	if err := d.magic(shardSnapsMagic); err != nil {
-		return nil, nil, fmt.Errorf("spe: not a shared-stage snapshot: %w", err)
-	}
-	n := d.uvarint()
-	if n > maxShardSnaps {
-		return nil, nil, fmt.Errorf("spe: corrupt shared-stage snapshot: %d workers", n)
-	}
-	snaps = make([][]byte, 0, n)
-	for i := uint64(0); i < n; i++ {
-		snaps = append(snaps, d.bytes())
-	}
-	f := d.uvarint()
-	if f > maxShardSnaps {
-		return nil, nil, fmt.Errorf("spe: corrupt shared-stage snapshot: %d fired windows", f)
-	}
-	for i := uint64(0); i < f; i++ {
-		w := window.Window{Start: d.varint(), End: d.varint()}
-		fired = append(fired, w)
-	}
-	if d.err != nil {
-		return nil, nil, fmt.Errorf("spe: corrupt shared-stage snapshot: %w", d.err)
-	}
-	return snaps, fired, nil
-}
-
 // rerouteCheckpointState restores one committed worker checkpoint into a
 // scratch store, re-appends every live unit of state into the new worker
 // set's (empty) backends — route maps a backend key to its new worker —
@@ -282,57 +225,6 @@ func rerouteCheckpointState(fsys faultfs.FS, cpDir, scratchDir string, backends 
 		return nil, derr
 	}
 	return snap, nil
-}
-
-// CommittedStage describes one stage's checkpoint layout inside a
-// committed generation directory.
-type CommittedStage struct {
-	// Workers is the parallelism the stage was committed at — its
-	// key-range manifest: worker w held the keys with
-	// routeKey(key, Workers) == w.
-	Workers int
-	// Shared marks a single-owner shared-backend checkpoint (one store
-	// cut carrying all workers' operator snapshots).
-	Shared bool
-}
-
-// CommittedLayout scans a committed generation directory and returns the
-// checkpoint layout per stage index. Stages without state (Map stages)
-// do not appear. A nil fsys uses the real filesystem.
-func CommittedLayout(fsys faultfs.FS, dir string, gen int64) (map[int]CommittedStage, error) {
-	if fsys == nil {
-		fsys = faultfs.OS
-	}
-	ents, err := fsys.ReadDir(filepath.Join(dir, genDirName(gen)))
-	if err != nil {
-		return nil, fmt.Errorf("spe: read generation %d: %w", gen, err)
-	}
-	out := make(map[int]CommittedStage)
-	for _, e := range ents {
-		if !e.IsDir() {
-			continue
-		}
-		var si, wi int
-		if strings.HasSuffix(e.Name(), "-shared") {
-			if n, _ := fmt.Sscanf(e.Name(), "s%02d-shared", &si); n == 1 {
-				cs := out[si]
-				cs.Shared = true
-				if cs.Workers == 0 {
-					cs.Workers = -1 // worker count lives in the snapshot framing
-				}
-				out[si] = cs
-			}
-			continue
-		}
-		if n, _ := fmt.Sscanf(e.Name(), "s%02d-w%02d", &si, &wi); n == 2 {
-			cs := out[si]
-			if wi+1 > cs.Workers {
-				cs.Workers = wi + 1
-			}
-			out[si] = cs
-		}
-	}
-	return out, nil
 }
 
 // WorkerForKey reports which worker of a par-way stage owns key — the

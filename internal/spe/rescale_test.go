@@ -214,108 +214,11 @@ func TestJobRescaleResumeExactlyOnce(t *testing.T) {
 	}
 }
 
-// sharedJobPipeline builds a checkpointable shared-backend pipeline: a
-// par-way holistic fixed-window stage where every worker hits one FlowKV
-// AAR store — the configuration whose barrier commit is a single-owner
-// cut of the merged state.
-func sharedJobPipeline(stateDir string, fsys faultfs.FS, par int) *Pipeline {
-	assigner := window.FixedAssigner{Size: 64}
-	spec := OperatorSpec{Assigner: assigner, Holistic: crashHolistic}
-	opts := core.Options{Instances: 2, WriteBufferBytes: 1 << 10}
-	if fsys != nil {
-		opts.FS = fsys
-	}
-	return &Pipeline{
-		WatermarkEvery: 25,
-		Stages: []Stage{
-			{
-				Name: "tag", Parallelism: 2,
-				Map: func(t Tuple, emit func(Tuple)) { emit(t) },
-			},
-			{
-				Name: "win", Parallelism: par,
-				ShareBackend: true,
-				Window:       &spec,
-				NewBackend: func(int) (statebackend.Backend, error) {
-					return statebackend.Open(statebackend.Config{
-						Kind:       statebackend.KindFlowKV,
-						Dir:        filepath.Join(stateDir, "shared"),
-						Agg:        core.AggHolistic,
-						WindowKind: window.Fixed,
-						Assigner:   assigner,
-						FlowKV:     opts,
-					})
-				},
-			},
-		},
-	}
-}
-
-// TestJobSharedBackendCrashResume runs the kill battery over a shared
-// holistic+aligned stage: one checkpoint per barrier covers the merged
-// store, restore fans the per-worker operator snapshots back out, and
-// resumes may change the worker count (snapshots re-partition; the
-// shared store needs no splitting). Ledger must match golden exactly.
-func TestJobSharedBackendCrashResume(t *testing.T) {
-	iters := (crashIters(t) + 1) / 2
-	tuples := crashTuples(600)
-	const every = 97
-	mk := func(base string, par int, src *SliceSource, kill int64) *Job {
-		return &Job{
-			Pipeline:        sharedJobPipeline(filepath.Join(base, "state"), nil, par),
-			Source:          src,
-			Dir:             filepath.Join(base, "job"),
-			CheckpointEvery: every,
-			KillAfterTuples: kill,
-		}
-	}
-	goldenBase := t.TempDir()
-	res, err := mk(goldenBase, 2, NewSliceSource(tuples), 0).Run()
-	if err != nil {
-		t.Fatalf("golden run: %v", err)
-	}
-	if !res.Final {
-		t.Fatal("golden run did not finish")
-	}
-	golden, err := os.ReadFile(filepath.Join(goldenBase, "job", ledgerName))
-	if err != nil || len(golden) == 0 {
-		t.Fatalf("golden ledger: %v (%d bytes)", err, len(golden))
-	}
-	rescalePars := []int{2, 1, 3, 4}
-	rng := rand.New(rand.NewSource(0x5a7ed))
-	base := t.TempDir()
-	for i := 0; i < iters; i++ {
-		dir := filepath.Join(base, fmt.Sprintf("i%03d", i))
-		src := NewSliceSource(tuples)
-		par := rescalePars[i%len(rescalePars)]
-		res, err := mk(dir, 2, src, 1+rng.Int63n(int64(len(tuples)))).Run()
-		for attempts := 0; err != nil; attempts++ {
-			if !errors.Is(err, ErrJobKilled) {
-				t.Fatalf("iter %d: unexpected error: %v", i, err)
-			}
-			if attempts > 30 {
-				t.Fatalf("iter %d: still killed after %d attempts", i, attempts)
-			}
-			var kill int64
-			if rng.Intn(2) == 0 {
-				kill = 1 + rng.Int63n(int64(len(tuples)))
-			}
-			res, err = runOrResume(mk(dir, par, src, kill))
-			par = rescalePars[rng.Intn(len(rescalePars))]
-		}
-		if !res.Final {
-			t.Fatalf("iter %d: job not final", i)
-		}
-		checkLedger(t, filepath.Join(dir, "job"), golden)
-	}
-}
-
 // TestJobCrashDuringCommitJoinAndShared pins the mid-checkpoint and
-// mid-commit crash points for the two new checkpoint shapes: a crash
-// while renaming an interval-join stage's store checkpoint, while
-// renaming a shared stage's single-owner checkpoint, and while renaming
-// the JOB file over either shape. Resume must land on the previous
-// committed cut and converge to the golden ledger.
+// mid-commit crash points for an interval-join stage: a crash while
+// renaming its store checkpoint, while renaming the JOB file, and while
+// syncing the ledger. Resume must land on the previous committed cut
+// and converge to the golden ledger.
 func TestJobCrashDuringCommitJoinAndShared(t *testing.T) {
 	const every = 61
 	shapes := []struct {
@@ -329,19 +232,6 @@ func TestJobCrashDuringCommitJoinAndShared(t *testing.T) {
 			mk: func(base string, fsys faultfs.FS, src *SliceSource) *Job {
 				return &Job{
 					Pipeline:        joinJobPipeline(filepath.Join(base, "state"), fsys, 1<<10, 2),
-					Source:          src,
-					Dir:             filepath.Join(base, "job"),
-					FS:              fsys,
-					CheckpointEvery: every,
-				}
-			},
-		},
-		{
-			name:   "shared",
-			tuples: crashTuples(400),
-			mk: func(base string, fsys faultfs.FS, src *SliceSource) *Job {
-				return &Job{
-					Pipeline:        sharedJobPipeline(filepath.Join(base, "state"), fsys, 2),
 					Source:          src,
 					Dir:             filepath.Join(base, "job"),
 					FS:              fsys,
@@ -583,36 +473,5 @@ func TestOperatorSnapshotJoinReplay(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestCommittedLayout covers the generation-directory scanner feeding the
-// rescale path and flowkvctl's resumability report.
-func TestCommittedLayout(t *testing.T) {
-	dir := t.TempDir()
-	gd := filepath.Join(dir, genDirName(3))
-	for _, sub := range []string{"s01-w00", "s01-w01", "s01-w02", "s02-shared", "junk", "s03-w00"} {
-		if err := os.MkdirAll(filepath.Join(gd, sub), 0o755); err != nil {
-			t.Fatal(err)
-		}
-	}
-	layout, err := CommittedLayout(nil, dir, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs := layout[1]; cs.Workers != 3 || cs.Shared {
-		t.Errorf("stage 1 layout = %+v", cs)
-	}
-	if cs := layout[2]; !cs.Shared {
-		t.Errorf("stage 2 layout = %+v", cs)
-	}
-	if cs := layout[3]; cs.Workers != 1 || cs.Shared {
-		t.Errorf("stage 3 layout = %+v", cs)
-	}
-	if _, ok := layout[0]; ok {
-		t.Error("phantom stage 0")
-	}
-	if _, err := CommittedLayout(nil, dir, 9); err == nil {
-		t.Error("missing generation accepted")
 	}
 }

@@ -14,7 +14,7 @@ import (
 
 // VerifyJobDir deep-verifies a job directory offline, without opening
 // the job: the JOB progress record must decode, the committed generation
-// must exist with every worker/shared checkpoint verifying against its
+// must exist with every worker checkpoint verifying against its
 // MANIFEST (size and CRC32C of every file), each generation's GENMETA
 // sidecar must decode and agree with its directory, and the committed
 // prefix of the sink ledger must frame- and payload-decode end to end.
@@ -81,39 +81,7 @@ func VerifyJobDir(fsys faultfs.FS, dir string) error {
 	if !tipSeen {
 		return fmt.Errorf("spe: verify %s: committed generation %d is missing", dir, meta.Gen)
 	}
-	if err := verifyRouting(dir, meta); err != nil {
-		return err
-	}
 	return verifyLedger(fsys, dir, meta)
-}
-
-// verifyRouting checks the committed routing tables for internal
-// consistency: a stage's table must be sized to its committed
-// parallelism (when both are recorded) and every bucket must name a
-// worker inside that parallelism. Rot in the JOB record usually fails
-// the record CRC first; this catches a decodable-but-nonsensical
-// table before a resume routes keys to a worker that does not exist.
-func verifyRouting(dir string, meta JobMeta) error {
-	for si, tab := range meta.Routing {
-		if tab == nil {
-			continue
-		}
-		par := int64(len(tab))
-		if si < len(meta.StagePars) && meta.StagePars[si] > 0 {
-			par = meta.StagePars[si]
-			if int64(len(tab)) != par {
-				return fmt.Errorf("spe: verify %s: stage %d routing table has %d buckets for parallelism %d",
-					dir, si, len(tab), par)
-			}
-		}
-		for b, w := range tab {
-			if w < 0 || w >= par {
-				return fmt.Errorf("spe: verify %s: stage %d routes bucket %d to worker %d of %d",
-					dir, si, b, w, par)
-			}
-		}
-	}
-	return nil
 }
 
 // verifyLedger decodes the committed prefix of the sink ledger record by

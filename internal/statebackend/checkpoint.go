@@ -44,7 +44,7 @@ func (b *flowkvBackend) RestoreMeta(dir string) ([]byte, error) {
 }
 
 // AsDeltaCheckpointer extracts the checkpoint capability from a backend,
-// looking through wrappers (Synchronized, shared-stage worker views).
+// looking through wrappers (see Unwrapper).
 func AsDeltaCheckpointer(b Backend) (DeltaCheckpointer, bool) {
 	for {
 		if c, ok := b.(DeltaCheckpointer); ok {

@@ -24,11 +24,11 @@ import (
 )
 
 // Backend is the windowed-state interface used by the SPE's window
-// operator. One Backend instance belongs to one physical operator; in the
-// default one-worker-per-operator arrangement it is used from that
-// worker's goroutine only. The FlowKV backend is safe for concurrent use
-// (core.Store carries its own locks); the other kinds are not — wrap them
-// with Synchronized before sharing across workers.
+// operator. One Backend instance belongs to one physical operator and is
+// used from that worker's goroutine only. The FlowKV backend is also
+// safe for concurrent use (core.Store carries its own locks for its
+// instance fan-out, self-healer and checkpoints); the other kinds are
+// not.
 //
 // Aggregate contract: GetAgg logically consumes the value — the caller
 // must write it back with PutAgg after aggregating (FlowKV's RMW store
@@ -235,8 +235,8 @@ func (b *flowkvBackend) Destroy() error { return b.store.Destroy() }
 // Stats exposes FlowKV-specific metrics (prefetch hit ratio etc.).
 func (b *flowkvBackend) Stats() core.Stats { return b.store.Stats() }
 
-// Unwrapper is implemented by backend wrappers (Synchronized, the SPE's
-// shared-stage worker views); Unwrap returns the next backend in the
+// Unwrapper is implemented by backend wrappers (the job manager's
+// rate-limited tenant backend); Unwrap returns the next backend in the
 // chain so capability probes reach the concrete store.
 type Unwrapper interface{ Unwrap() Backend }
 
@@ -286,39 +286,6 @@ func SubscribeHealth(b Backend, fn func(core.Health, core.HealthReason, error)) 
 	}
 	fb.store.NotifyHealth(fn)
 	return true
-}
-
-// PartitionedWindowReader is the optional capability behind shared-
-// backend holistic aligned stages: read one window's state restricted to
-// a key-ownership predicate, grouped by key, WITHOUT consuming the
-// window, so several workers sharing one store can each drain their own
-// key range and the window is dropped wholesale afterwards. Only the
-// FlowKV backend over an AAR store provides it.
-type PartitionedWindowReader interface {
-	ReadWindowOwned(w window.Window, own func(key []byte) bool, emit func(key []byte, values [][]byte) error) error
-}
-
-func (b *flowkvBackend) ReadWindowOwned(w window.Window, own func(key []byte) bool, emit func(key []byte, values [][]byte) error) error {
-	part, err := b.store.ReadWindowOwned(w, own)
-	if err != nil {
-		return err
-	}
-	for _, kv := range part {
-		if err := emit(kv.Key, kv.Values); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// AsPartitionedWindowReader reports whether b (looking through wrappers)
-// can serve partitioned non-consuming window reads.
-func AsPartitionedWindowReader(b Backend) (PartitionedWindowReader, bool) {
-	fb, ok := unwrap(b).(*flowkvBackend)
-	if !ok || fb.store.Pattern() != core.PatternAAR {
-		return nil, false
-	}
-	return fb, true
 }
 
 // lsmBackend adapts the LSM tree with composite keys, list-merge appends
